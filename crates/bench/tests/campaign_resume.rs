@@ -98,6 +98,35 @@ fn kill_and_resume_matches_uninterrupted_run() {
     }
 }
 
+/// Journals written by an earlier build of the campaign layer, with
+/// that build's figure JSON: resuming them re-runs nothing and
+/// reproduces the JSON byte for byte.
+#[test]
+fn earlier_build_journal_resumes_with_zero_reruns() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/campaign");
+    let dir = tmp("fixture");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for f in ["selftest-sim.jsonl", "selftest-wedge.jsonl"] {
+        std::fs::copy(fixture.join(f), dir.join(f)).expect("fixture journal");
+    }
+    let out = selftest(
+        &dir,
+        &["--resume", "--expect-restored", "9", "--expect-fresh", "0"],
+    );
+    assert!(
+        out.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        std::fs::read(dir.join("selftest.json")).unwrap(),
+        std::fs::read(fixture.join("selftest.json")).unwrap(),
+        "the resumed figure JSON matches the earlier build's"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn panics_and_timeouts_are_recorded_outcomes() {
     let dir = tmp("taxonomy");

@@ -2,19 +2,18 @@
 //! degrade/retry policies, and resumable result journals.
 //!
 //! Reproducing the paper's evaluation means running hundreds of
-//! independent simulations per figure. The bare [`crate::run_many`]
-//! thread pool treats every job as infallible: one panicking or wedged
-//! job used to take the whole figure — and with it an hours-long `bench
-//! all` — down. A [`Campaign`] supervises the same job set instead:
+//! independent simulations per figure, and one panicking or wedged job
+//! must not take the whole figure — and with it an hours-long `bench
+//! all` — down. A [`Campaign`] supervises the job set through the shared
+//! executor (`crate::exec`):
 //!
-//! * every attempt runs on its own worker thread under
+//! * every attempt runs on its own thread under
 //!   [`std::panic::catch_unwind`], so a panic (or a structured
 //!   [`CrowError`], e.g. an [`crate::FaultPolicy::Abort`] fault) becomes
 //!   a recorded [`JobOutcome`] instead of a dead pool;
-//! * the supervisor loop enforces a per-attempt wall-clock deadline; a
-//!   wedged attempt is abandoned (its thread keeps running detached and
-//!   its late result is discarded) and the slot is refilled immediately;
-//! * failed or timed-out jobs are retried after a short backoff at a
+//! * an attempt past its wall-clock deadline is abandoned (its thread
+//!   keeps running detached and its late result is discarded);
+//! * failed or timed-out jobs are retried after a backoff at a
 //!   *degraded* [`Scale`] — half the instructions per extra attempt,
 //!   floored at [`CampaignPolicy::min_insts`] — so a marginal job
 //!   degrades gracefully before the campaign gives up on it;
@@ -31,16 +30,18 @@
 //! Fingerprints embed the requested [`Scale`], so changing `CROW_INSTS`
 //! invalidates journaled results instead of silently reusing them.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use crate::error::CrowError;
+use crate::exec::{self, lock};
 use crate::experiments::Scale;
 use crate::json::Json;
+use crate::knobs::Knobs;
 
 /// How a supervised job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,7 +234,7 @@ impl CampaignPolicy {
 
     /// Reads the supervision knobs from the environment on top of
     /// [`CampaignPolicy::new`]: `CROW_TIMEOUT_SECS` (fractional seconds,
-    /// 0 disables), `CROW_RETRIES`, and `CROW_RESUME` (`1`/`true`).
+    /// 0 disables), `CROW_RETRIES`, and `CROW_RESUME` (a boolean).
     /// Malformed values are configuration errors, not silent defaults.
     pub fn from_env(scale: Scale) -> Result<Self, CrowError> {
         Self::from_lookup(scale, |k| std::env::var(k).ok())
@@ -245,33 +246,13 @@ impl CampaignPolicy {
         scale: Scale,
         lookup: impl Fn(&str) -> Option<String>,
     ) -> Result<Self, CrowError> {
+        let env = Knobs::new("CampaignPolicy", &lookup);
         let mut p = Self::new(scale);
-        if let Some(v) = lookup("CROW_TIMEOUT_SECS") {
-            let secs: f64 = v.trim().parse().map_err(|_| {
-                config_err(format!(
-                    "CROW_TIMEOUT_SECS={v:?} is not a number of seconds"
-                ))
-            })?;
-            if !(secs >= 0.0 && secs.is_finite()) {
-                return Err(config_err(format!(
-                    "CROW_TIMEOUT_SECS={v:?} must be a finite non-negative number"
-                )));
-            }
-            p.timeout = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
+        if let Some(d) = env.secs("CROW_TIMEOUT_SECS")? {
+            p.timeout = (!d.is_zero()).then_some(d);
         }
-        if let Some(v) = lookup("CROW_RETRIES") {
-            p.max_retries = v
-                .trim()
-                .parse()
-                .map_err(|_| config_err(format!("CROW_RETRIES={v:?} is not an integer")))?;
-        }
-        if let Some(v) = lookup("CROW_RESUME") {
-            p.resume = match v.trim() {
-                "1" | "true" | "yes" => true,
-                "0" | "false" | "no" | "" => false,
-                _ => return Err(config_err(format!("CROW_RESUME={v:?} is not a boolean"))),
-            };
-        }
+        p.max_retries = env.u32("CROW_RETRIES", 0)?.unwrap_or(p.max_retries);
+        p.resume = env.flag("CROW_RESUME")?.unwrap_or(p.resume);
         Ok(p)
     }
 
@@ -289,12 +270,14 @@ impl CampaignPolicy {
         let auto = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        if self.threads > 0 { self.threads } else { auto }.min(jobs.max(1))
+        if self.threads > 0 { self.threads } else { auto }.min(jobs)
     }
 }
 
-fn config_err(reason: String) -> CrowError {
-    CrowError::Config(crow_dram::ConfigError::new("CampaignPolicy", reason))
+/// The campaign journal directory: `$CROW_CAMPAIGN_DIR`, or
+/// `results/campaign` when unset.
+pub(crate) fn campaign_dir(lookup: &dyn Fn(&str) -> Option<String>) -> PathBuf {
+    lookup("CROW_CAMPAIGN_DIR").map_or_else(|| PathBuf::from("results/campaign"), PathBuf::from)
 }
 
 /// A result type that can ride the journal.
@@ -320,6 +303,15 @@ impl Journaled for u64 {
     }
     fn decode(v: &Json) -> Option<Self> {
         v.as_u64()
+    }
+}
+
+impl Journaled for Json {
+    fn encode(&self) -> Json {
+        self.clone()
+    }
+    fn decode(v: &Json) -> Option<Self> {
+        Some(v.clone())
     }
 }
 
@@ -672,18 +664,6 @@ fn append_sidecar(path: &Path, ext: &str, lines: &[&str]) -> std::io::Result<()>
     f.sync_data()
 }
 
-/// What one attempt reported back to the supervisor.
-enum AttemptEnd<R> {
-    Done(Result<R, CrowError>),
-    Panic(String),
-}
-
-struct Inflight {
-    job: usize,
-    attempt: u32,
-    deadline: Option<Instant>,
-}
-
 /// A supervised job campaign (see the module docs).
 #[derive(Debug)]
 pub struct Campaign {
@@ -699,21 +679,15 @@ impl Campaign {
     pub fn at_dir(name: &str, policy: CampaignPolicy, dir: &Path) -> Result<Self, CrowError> {
         let journal = Journal::open(&dir.join(format!("{name}.jsonl")), policy.resume)?;
         Ok(Self {
-            name: name.to_string(),
-            policy,
             journal: Some(journal),
-            this_run: OutcomeCounts::default(),
-            dispositions: OutcomeCounts::default(),
+            ..Self::ephemeral(name, policy)
         })
     }
 
     /// A journaled campaign under the default directory:
     /// `$CROW_CAMPAIGN_DIR` or `results/campaign`.
     pub fn new(name: &str, policy: CampaignPolicy) -> Result<Self, CrowError> {
-        let dir = std::env::var("CROW_CAMPAIGN_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results/campaign"));
-        Self::at_dir(name, policy, &dir)
+        Self::at_dir(name, policy, &campaign_dir(&|k| std::env::var(k).ok()))
     }
 
     /// An unjournaled campaign (supervision only; nothing to resume).
@@ -772,293 +746,94 @@ impl Campaign {
     /// Runs `jobs` (pairs of job fingerprint and job data) to completion
     /// under supervision, returning outcomes in input order.
     ///
-    /// `worker` receives the job and the scale chosen for the current
-    /// attempt; it must honour the scale for the degrade ladder to mean
-    /// anything. A worker panic or `Err` triggers the retry policy; an
-    /// attempt overrunning [`CampaignPolicy::timeout`] is abandoned (the
-    /// thread is left behind and its result discarded) and retried the
-    /// same way. `run` may be called repeatedly on one campaign — each
-    /// call shares the journal and accumulates the counters.
+    /// [`CampaignPolicy::threads`] workers each take one job at a time
+    /// through the shared executor (`crate::exec`): `worker` receives
+    /// the job and the scale chosen for the current attempt, and must
+    /// honour the scale for the degrade ladder to mean anything. A
+    /// worker panic or `Err` triggers the retry policy; an attempt
+    /// overrunning [`CampaignPolicy::timeout`] is abandoned (the thread
+    /// is left behind and its result discarded) and retried the same
+    /// way. Each finished job is journaled as it completes. `run` may be
+    /// called repeatedly on one campaign — each call shares the journal
+    /// and accumulates the counters.
     pub fn run<J, R, F>(&mut self, jobs: Vec<(String, J)>, worker: F) -> Vec<JobOutcome<R>>
     where
         J: Send + Sync + 'static,
         R: Journaled + Send + 'static,
         F: Fn(&J, Scale) -> Result<R, CrowError> + Send + Sync + 'static,
     {
-        let n = jobs.len();
-        let mut outcomes: Vec<Option<JobOutcome<R>>> = Vec::with_capacity(n);
-        let mut pending: VecDeque<(usize, u32, Instant)> = VecDeque::new();
-        let now = Instant::now();
-        // Restore journaled jobs; queue the rest.
-        for (i, (job_fp, _)) in jobs.iter().enumerate() {
-            let fp = self.fingerprint(job_fp);
-            let restored = self.journal.as_ref().and_then(|j| j.lookup(&fp)).and_then(
-                |rec: &JournalRecord| {
-                    let result = match &rec.payload {
-                        Some(text) => {
-                            let v = Json::parse(text).ok()?;
-                            Some(R::decode(&v)?)
+        let fps: Vec<String> = jobs.iter().map(|(fp, _)| self.fingerprint(fp)).collect();
+        let mut outcomes: Vec<Option<JobOutcome<R>>> =
+            fps.iter().map(|fp| self.restore(fp)).collect();
+        let pending: Vec<usize> = (0..fps.len()).filter(|&i| outcomes[i].is_none()).collect();
+        let (jobs, worker) = (Arc::new(jobs), Arc::new(worker));
+        let policy = self.policy;
+        let next = AtomicUsize::new(0);
+        let done = Mutex::new(Vec::new());
+        let (name, journal) = (&self.name, Mutex::new(self.journal.as_mut()));
+        std::thread::scope(|s| {
+            for _ in 0..policy.worker_threads(pending.len()) {
+                s.spawn(|| {
+                    while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let ex = exec::execute(&policy, &fps[i], None, |_, scale| {
+                            let (jobs, worker) = (Arc::clone(&jobs), Arc::clone(&worker));
+                            exec::in_thread(policy.timeout, move || worker(&jobs[i].1, scale))
+                        });
+                        if let Some(j) = lock(&journal).as_mut() {
+                            if let Err(e) = j.append(&ex.record(fps[i].clone())) {
+                                // A journal write failure must not kill the
+                                // campaign; it just stops being resumable.
+                                eprintln!("campaign {name}: {e}");
+                            }
                         }
-                        None => None,
-                    };
-                    Some((
-                        JobOutcome {
-                            fingerprint: fp.clone(),
-                            kind: OutcomeKind::Skipped,
-                            journaled: Some(rec.kind),
-                            attempts: 0,
-                            error: rec.error.clone(),
-                            result,
-                        },
-                        rec.attempts,
-                    ))
-                },
-            );
-            match restored {
-                Some((o, journaled_attempts)) => {
-                    self.this_run.add(OutcomeKind::Skipped);
-                    self.dispositions.add(o.journaled.unwrap_or(o.kind));
-                    // Credit the original run's retries too, so a fully
-                    // restored campaign reports the same counters as the
-                    // uninterrupted one.
-                    self.dispositions.retries += u64::from(journaled_attempts.saturating_sub(1));
-                    outcomes.push(Some(o));
-                }
-                None => {
-                    outcomes.push(None);
-                    pending.push_back((i, 0, now));
-                }
-            }
-        }
-        let mut remaining = pending.len();
-        if remaining == 0 {
-            return outcomes.into_iter().map(|o| o.expect("restored")).collect();
-        }
-
-        let jobs = Arc::new(jobs);
-        let worker = Arc::new(worker);
-        let threads = self.policy.worker_threads(remaining);
-        let (tx, rx) = mpsc::channel::<(u64, AttemptEnd<R>)>();
-        let mut inflight: HashMap<u64, Inflight> = HashMap::new();
-        let mut abandoned: HashSet<u64> = HashSet::new();
-        let mut next_id: u64 = 0;
-
-        while remaining > 0 {
-            // Fill free slots with attempts whose backoff has elapsed.
-            let now = Instant::now();
-            let mut deferred: VecDeque<(usize, u32, Instant)> = VecDeque::new();
-            while inflight.len() < threads {
-                let Some((job, attempt, not_before)) = pending.pop_front() else {
-                    break;
-                };
-                if not_before > now {
-                    deferred.push_back((job, attempt, not_before));
-                    continue;
-                }
-                let id = next_id;
-                next_id += 1;
-                let scale = self.policy.scale_for_attempt(attempt);
-                inflight.insert(
-                    id,
-                    Inflight {
-                        job,
-                        attempt,
-                        deadline: self.policy.timeout.map(|t| Instant::now() + t),
-                    },
-                );
-                let jobs = Arc::clone(&jobs);
-                let worker = Arc::clone(&worker);
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    let end = match catch_unwind(AssertUnwindSafe(|| worker(&jobs[job].1, scale))) {
-                        Ok(r) => AttemptEnd::Done(r),
-                        Err(payload) => AttemptEnd::Panic(panic_message(payload.as_ref())),
-                    };
-                    // The supervisor may have abandoned us; a closed
-                    // channel is fine.
-                    let _ = tx.send((id, end));
+                        lock(&done).push((i, ex));
+                    }
                 });
             }
-            pending.append(&mut deferred);
-
-            // Sleep until the next message, deadline, or backoff expiry.
-            let now = Instant::now();
-            let mut wake: Option<Instant> = inflight.values().filter_map(|f| f.deadline).min();
-            if inflight.len() < threads {
-                if let Some(&(_, _, nb)) = pending.iter().min_by_key(|&&(_, _, nb)| nb) {
-                    wake = Some(wake.map_or(nb, |w| w.min(nb)));
-                }
+        });
+        for (i, ex) in done.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            for c in [&mut self.this_run, &mut self.dispositions] {
+                c.add(ex.kind);
+                c.retries += u64::from(ex.attempts - 1);
             }
-            let msg = match wake {
-                Some(w) => {
-                    let dur = w.saturating_duration_since(now);
-                    match rx.recv_timeout(dur.max(Duration::from_millis(1))) {
-                        Ok(m) => Some(m),
-                        Err(mpsc::RecvTimeoutError::Timeout) => None,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            unreachable!("supervisor holds a sender")
-                        }
-                    }
-                }
-                None => Some(rx.recv().expect("supervisor holds a sender")),
-            };
-
-            if let Some((id, end)) = msg {
-                if abandoned.remove(&id) {
-                    continue; // Late result of a timed-out attempt.
-                }
-                let Some(fl) = inflight.remove(&id) else {
-                    continue;
-                };
-                match end {
-                    AttemptEnd::Done(Ok(result)) => {
-                        let kind = if self.policy.scale_for_attempt(fl.attempt) == self.policy.scale
-                        {
-                            OutcomeKind::Ok
-                        } else {
-                            OutcomeKind::Degraded
-                        };
-                        self.finish_job(
-                            &mut outcomes,
-                            &jobs[fl.job].0,
-                            fl.job,
-                            kind,
-                            fl.attempt + 1,
-                            None,
-                            Some(result),
-                        );
-                        remaining -= 1;
-                    }
-                    AttemptEnd::Done(Err(e)) => {
-                        remaining -= self.fail_or_retry(
-                            &mut outcomes,
-                            &mut pending,
-                            &jobs[fl.job].0,
-                            fl.job,
-                            fl.attempt,
-                            OutcomeKind::Panicked,
-                            format!("error: {e}"),
-                        );
-                    }
-                    AttemptEnd::Panic(msg) => {
-                        remaining -= self.fail_or_retry(
-                            &mut outcomes,
-                            &mut pending,
-                            &jobs[fl.job].0,
-                            fl.job,
-                            fl.attempt,
-                            OutcomeKind::Panicked,
-                            format!("panic: {msg}"),
-                        );
-                    }
-                }
-            } else {
-                // Deadline sweep: abandon every overdue attempt.
-                let now = Instant::now();
-                let overdue: Vec<u64> = inflight
-                    .iter()
-                    .filter(|(_, f)| f.deadline.is_some_and(|d| d <= now))
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in overdue {
-                    let fl = inflight.remove(&id).expect("listed above");
-                    abandoned.insert(id);
-                    // A leaked thread is a this-run runtime artifact, not
-                    // a job disposition: a resumed run that restores this
-                    // job's timed_out record from the journal leaks
-                    // nothing, and dispositions must match either way.
-                    self.this_run.abandoned += 1;
-                    let timeout = self.policy.timeout.unwrap_or_default();
-                    remaining -= self.fail_or_retry(
-                        &mut outcomes,
-                        &mut pending,
-                        &jobs[fl.job].0,
-                        fl.job,
-                        fl.attempt,
-                        OutcomeKind::TimedOut,
-                        format!("deadline: attempt exceeded {timeout:?}"),
-                    );
-                }
-            }
+            // A leaked thread is a this-run runtime artifact, not a job
+            // disposition: a resumed run restoring this job leaks nothing.
+            self.this_run.abandoned += ex.timeouts;
+            outcomes[i] = Some(JobOutcome {
+                fingerprint: fps[i].clone(),
+                kind: ex.kind,
+                journaled: None,
+                attempts: ex.attempts,
+                error: ex.error,
+                result: ex.result,
+            });
         }
-
         outcomes
             .into_iter()
-            .map(|o| o.expect("completed"))
+            .map(|o| o.expect("every job restored or run"))
             .collect()
     }
 
-    /// Returns 1 when the job reached a terminal outcome, 0 on retry.
-    #[allow(clippy::too_many_arguments)]
-    fn fail_or_retry<R: Journaled>(
-        &mut self,
-        outcomes: &mut [Option<JobOutcome<R>>],
-        pending: &mut VecDeque<(usize, u32, Instant)>,
-        job_fp: &str,
-        job: usize,
-        attempt: u32,
-        kind: OutcomeKind,
-        error: String,
-    ) -> usize {
-        if attempt < self.policy.max_retries {
-            self.this_run.retries += 1;
-            self.dispositions.retries += 1;
-            let backoff = self.policy.backoff * (attempt + 1);
-            pending.push_back((job, attempt + 1, Instant::now() + backoff));
-            0
-        } else {
-            self.finish_job(outcomes, job_fp, job, kind, attempt + 1, Some(error), None);
-            1
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_job<R: Journaled>(
-        &mut self,
-        outcomes: &mut [Option<JobOutcome<R>>],
-        job_fp: &str,
-        job: usize,
-        kind: OutcomeKind,
-        attempts: u32,
-        error: Option<String>,
-        result: Option<R>,
-    ) {
-        let fp = self.fingerprint(job_fp);
-        self.this_run.add(kind);
-        self.dispositions.add(kind);
-        if let Some(journal) = &mut self.journal {
-            let rec = JournalRecord {
-                fingerprint: fp.clone(),
-                kind,
-                attempts,
-                error: error.clone(),
-                payload: result.as_ref().map(|r| r.encode().render()),
-            };
-            if let Err(e) = journal.append(&rec) {
-                // A journal write failure must not kill the campaign;
-                // the run simply stops being resumable from here on.
-                eprintln!("campaign {}: {e}", self.name);
-            }
-        }
-        outcomes[job] = Some(JobOutcome {
-            fingerprint: fp,
-            kind,
-            journaled: None,
-            attempts,
-            error,
+    /// Restores the journaled outcome of `fp`, if any, crediting the
+    /// original run's retries so a fully restored campaign reports the
+    /// same counters as the uninterrupted one.
+    fn restore<R: Journaled>(&mut self, fp: &str) -> Option<JobOutcome<R>> {
+        let rec = self.journal.as_ref()?.lookup(fp)?;
+        let result = match &rec.payload {
+            Some(text) => Some(R::decode(&Json::parse(text).ok()?)?),
+            None => None,
+        };
+        self.this_run.add(OutcomeKind::Skipped);
+        self.dispositions.add(rec.kind);
+        self.dispositions.retries += u64::from(rec.attempts.saturating_sub(1));
+        Some(JobOutcome {
+            fingerprint: fp.to_string(),
+            kind: OutcomeKind::Skipped,
+            journaled: Some(rec.kind),
+            attempts: 0,
+            error: rec.error.clone(),
             result,
-        });
-    }
-}
-
-/// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        })
     }
 }
 
@@ -1163,6 +938,13 @@ mod tests {
         assert_eq!(ok.timeout, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(ok.max_retries, 3);
         assert!(ok.resume);
+        for (v, want) in [("yes", true), ("no", false), ("false", false)] {
+            let p = CampaignPolicy::from_lookup(s, |k| (k == "CROW_RESUME").then(|| v.into()));
+            assert_eq!(p.unwrap().resume, want, "CROW_RESUME={v}");
+        }
+        assert!(
+            CampaignPolicy::from_lookup(s, |k| (k == "CROW_RESUME").then(|| "2".into())).is_err()
+        );
         let bad = CampaignPolicy::from_lookup(s, |k| {
             (k == "CROW_TIMEOUT_SECS").then(|| "2,5".to_string())
         });

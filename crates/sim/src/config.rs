@@ -291,11 +291,22 @@ pub struct SystemConfig {
     pub sample: Option<crate::sampling::SamplePlan>,
 }
 
-/// Preset default for [`SystemConfig::validate_protocol`]: true iff the
-/// `CROW_VALIDATE` environment variable is set to anything but `0`.
+/// Preset default for [`SystemConfig::validate_protocol`]: the
+/// `CROW_VALIDATE` boolean knob, off when unset.
 fn validate_from_env() -> bool {
-    std::env::var("CROW_VALIDATE")
-        .map(|v| v != "0")
+    validate_from(&|k| std::env::var(k).ok())
+}
+
+/// [`validate_from_env`] against an arbitrary lookup. Presets cannot
+/// fail, so a malformed value warns and keeps the validator on: it only
+/// observes, so on is the safe reading of a value nobody can parse.
+fn validate_from(lookup: &dyn Fn(&str) -> Option<String>) -> bool {
+    crate::knobs::Knobs::new("SystemConfig", lookup)
+        .flag("CROW_VALIDATE")
+        .unwrap_or_else(|e| {
+            eprintln!("warning: {e}; the protocol validator stays on");
+            Some(true)
+        })
         .unwrap_or(false)
 }
 
@@ -516,6 +527,21 @@ mod tests {
         assert!(salp.subarray_parallelism);
         assert_eq!(salp.rows_per_subarray, 256);
         salp.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_knob_reads_the_boolean_grammar() {
+        let with = |v: &'static str| {
+            validate_from(&move |k: &str| (k == "CROW_VALIDATE").then(|| v.to_string()))
+        };
+        assert!(!validate_from(&|_| None), "off when unset");
+        for v in ["1", "true", "yes"] {
+            assert!(with(v), "CROW_VALIDATE={v}");
+        }
+        for v in ["0", "false", "no", ""] {
+            assert!(!with(v), "CROW_VALIDATE={v}");
+        }
+        assert!(with("on"), "a malformed value keeps the validator on");
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crow_workloads::AppProfile;
 
 use crate::config::{Mechanism, SystemConfig};
 use crate::error::CrowError;
+use crate::knobs::Knobs;
 use crate::report::SimReport;
 use crate::system::System;
 
@@ -14,8 +15,8 @@ use crate::system::System;
 /// * `CROW_MIXES` — mixes per four-core group (default 3, paper uses 20);
 /// * `CROW_THREADS` — shard worker threads per simulation (default 1,
 ///   the serial engine; reports are bit-identical at any value);
-/// * `CROW_CHECKPOINTS` — `1`/`true` caches post-warmup architectural
-///   state under `results/checkpoints/` (default off);
+/// * `CROW_CHECKPOINTS` — a boolean; on caches post-warmup
+///   architectural state under `results/checkpoints/` (default off);
 /// * `CROW_SAMPLE` (+ `CROW_SAMPLE_WINDOW`/`_WARMUP`/`_FF`) — interval
 ///   sampling with per-window confidence intervals (default off); see
 ///   [`crate::sampling::SamplePlan::from_env`].
@@ -55,57 +56,16 @@ impl Scale {
     /// [`Scale::from_env`] against an arbitrary variable lookup, so the
     /// parsing is testable without mutating process-global state.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, CrowError> {
-        let get = |k: &str, d: u64| -> Result<u64, CrowError> {
-            match lookup(k) {
-                None => Ok(d),
-                Some(v) => v.trim().parse().map_err(|_| {
-                    CrowError::Config(crow_dram::ConfigError::new(
-                        "Scale",
-                        format!("{k}={v:?} is not an unsigned integer"),
-                    ))
-                }),
-            }
-        };
-        let checkpoints = match lookup("CROW_CHECKPOINTS") {
-            None => false,
-            Some(v) => match v.trim() {
-                "0" | "false" => false,
-                "1" | "true" => true,
-                _ => {
-                    return Err(CrowError::Config(crow_dram::ConfigError::new(
-                        "Scale",
-                        format!("CROW_CHECKPOINTS={v:?} is not 0/1/true/false"),
-                    )))
-                }
-            },
-        };
-        let scale = Self {
-            insts: get("CROW_INSTS", 400_000)?,
-            warmup: get("CROW_WARMUP", 50_000)?,
-            mixes_per_group: get("CROW_MIXES", 3)? as usize,
-            max_cycles: get("CROW_MAX_CYCLES", 2_000_000_000)?,
-            threads: u32::try_from(get("CROW_THREADS", 1)?).map_err(|_| {
-                CrowError::Config(crow_dram::ConfigError::new(
-                    "Scale",
-                    "CROW_THREADS does not fit in 32 bits",
-                ))
-            })?,
-            checkpoints,
+        let env = Knobs::new("Scale", &lookup);
+        Ok(Self {
+            insts: env.uint("CROW_INSTS", 1)?.unwrap_or(400_000),
+            warmup: env.uint("CROW_WARMUP", 0)?.unwrap_or(50_000),
+            mixes_per_group: env.uint("CROW_MIXES", 0)?.map_or(3, |n| n as usize),
+            max_cycles: env.uint("CROW_MAX_CYCLES", 0)?.unwrap_or(2_000_000_000),
+            threads: env.u32("CROW_THREADS", 1)?.unwrap_or(1),
+            checkpoints: env.flag("CROW_CHECKPOINTS")?.unwrap_or(false),
             sample: crate::sampling::SamplePlan::from_lookup(&lookup)?,
-        };
-        if scale.insts == 0 {
-            return Err(CrowError::Config(crow_dram::ConfigError::new(
-                "Scale",
-                "CROW_INSTS must be positive",
-            )));
-        }
-        if scale.threads == 0 {
-            return Err(CrowError::Config(crow_dram::ConfigError::new(
-                "Scale",
-                "CROW_THREADS must be positive",
-            )));
-        }
-        Ok(scale)
+        })
     }
 
     /// A tiny scale for integration tests.
@@ -178,76 +138,6 @@ pub fn run_with_config(mut cfg: SystemConfig, apps: &[&AppProfile], scale: Scale
     sys.run(scale.max_cycles)
 }
 
-/// Runs independent jobs on worker threads (deterministic per job).
-///
-/// Panic-safe: a panicking job no longer poisons the pool — the other
-/// jobs all run to completion, and the first panic is re-raised on the
-/// caller afterwards. Campaigns that must *survive* panics use
-/// [`crate::campaign::Campaign`] instead, which turns them into
-/// recorded outcomes.
-pub fn run_many<J, R, F>(jobs: Vec<J>, worker: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::PoisonError;
-
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
-    let jobs: Vec<std::sync::Mutex<Option<J>>> = jobs
-        .into_iter()
-        .map(|j| std::sync::Mutex::new(Some(j)))
-        .collect();
-    let results: Vec<std::sync::Mutex<Option<R>>> = (0..jobs.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let panics: std::sync::Mutex<Vec<Box<dyn std::any::Any + Send>>> =
-        std::sync::Mutex::new(Vec::new());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                // Poison is ignored throughout: a mutex here is only
-                // poisoned by another job's panic, which says nothing
-                // about the (disjoint) slot it guards.
-                let job = jobs[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .expect("job taken once");
-                match catch_unwind(AssertUnwindSafe(|| worker(job))) {
-                    Ok(r) => *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r),
-                    Err(payload) => panics
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(payload),
-                }
-            });
-        }
-    });
-    if let Some(payload) = panics
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .next()
-    {
-        resume_unwind(payload);
-    }
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .map(|r| r.expect("worker finished"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +176,9 @@ mod tests {
         assert_eq!((s.threads, s.checkpoints), (4, true));
         let s = Scale::from_lookup(|k| (k == "CROW_CHECKPOINTS").then(|| " 0 ".into())).unwrap();
         assert!(!s.checkpoints, "whitespace-tolerant like the integers");
+        // One boolean grammar: `yes` reads like every other flag.
+        let s = Scale::from_lookup(|k| (k == "CROW_CHECKPOINTS").then(|| "yes".into())).unwrap();
+        assert!(s.checkpoints);
         // Malformed values are configuration errors, never silent
         // fallbacks — the same contract as the integer knobs.
         for (k, v) in [
@@ -293,7 +186,7 @@ mod tests {
             ("CROW_THREADS", "0"),
             ("CROW_THREADS", "-2"),
             ("CROW_THREADS", "99999999999"),
-            ("CROW_CHECKPOINTS", "yes"),
+            ("CROW_CHECKPOINTS", "on"),
             ("CROW_CHECKPOINTS", "2"),
         ] {
             let err = Scale::from_lookup(|q| (q == k).then(|| v.into()))
@@ -332,31 +225,6 @@ mod tests {
         // Malformed sampling knobs are configuration errors here too.
         assert!(Scale::from_lookup(|k| (k == "CROW_SAMPLE").then(|| "nope".into())).is_err());
         assert!(Scale::from_lookup(|k| (k == "CROW_SAMPLE_WINDOW").then(|| "x".into())).is_err());
-    }
-
-    #[test]
-    fn run_many_preserves_order() {
-        let out = run_many((0..32u64).collect(), |x| x * 2);
-        assert_eq!(out, (0..32u64).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_many_finishes_all_jobs_despite_a_panic() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let completed = AtomicUsize::new(0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_many((0..16u64).collect(), |x| {
-                if x == 5 {
-                    panic!("one bad job");
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                x
-            })
-        }));
-        // The panic still reaches the caller (legacy semantics)...
-        assert!(caught.is_err());
-        // ...but only after every other job ran to completion.
-        assert_eq!(completed.load(Ordering::Relaxed), 15);
     }
 
     #[test]

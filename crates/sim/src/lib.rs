@@ -33,10 +33,12 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod config;
 pub mod error;
+mod exec;
 pub mod experiments;
 pub mod fault;
 pub mod hammer;
 pub mod json;
+mod knobs;
 pub mod metrics;
 mod parallel;
 pub mod report;
@@ -51,7 +53,7 @@ pub use campaign::{
 pub use checkpoint::{warm_via_cache, CheckpointStats, WarmOutcome};
 pub use config::{Engine, Mechanism, SystemConfig};
 pub use error::CrowError;
-pub use experiments::{run_many, run_mix, run_single, run_with_config, Scale};
+pub use experiments::{run_mix, run_single, run_with_config, Scale};
 pub use fault::{FaultPlan, FaultPolicy, FaultStats};
 pub use hammer::{
     AggressorGen, AttackPattern, FlipModel, FlipParams, HammerScenario, HammerState, HammerStats,

@@ -37,6 +37,7 @@
 use crate::config::Engine;
 use crate::error::CrowError;
 use crate::json::Json;
+use crate::knobs::Knobs;
 use crate::system::System;
 use crow_dram::ConfigError;
 
@@ -169,30 +170,19 @@ impl SamplePlan {
     ///
     /// See [`SamplePlan::from_env`].
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Option<Self>, CrowError> {
-        let get = |k: &str| -> Result<Option<u64>, CrowError> {
-            match lookup(k) {
-                None => Ok(None),
-                Some(v) => v.trim().parse().map(Some).map_err(|_| {
-                    CrowError::Config(ConfigError::new(
-                        "SamplePlan",
-                        format!("{k}={v:?} is not an unsigned integer"),
-                    ))
-                }),
-            }
-        };
-        let window = get("CROW_SAMPLE_WINDOW")?;
-        let warmup = get("CROW_SAMPLE_WARMUP")?;
-        let ff = get("CROW_SAMPLE_FF")?;
+        let env = Knobs::new("SamplePlan", &lookup);
+        let window = env.uint("CROW_SAMPLE_WINDOW", 0)?;
+        let warmup = env.uint("CROW_SAMPLE_WARMUP", 0)?;
+        let ff = env.uint("CROW_SAMPLE_FF", 0)?;
         let overridden = window.is_some() || warmup.is_some() || ff.is_some();
-        let base = match lookup("CROW_SAMPLE") {
+        let base = match env.raw("CROW_SAMPLE") {
             None if overridden => Some(Self::default_profile()),
             None => None,
             Some(v) => match v.trim() {
                 "off" | "0" => {
                     if overridden {
-                        return Err(CrowError::Config(ConfigError::new(
-                            "SamplePlan",
-                            format!("CROW_SAMPLE={v:?} contradicts CROW_SAMPLE_* overrides"),
+                        return Err(env.err(format!(
+                            "CROW_SAMPLE={v:?} contradicts CROW_SAMPLE_* overrides"
                         )));
                     }
                     None

@@ -19,11 +19,11 @@
 //!   overflow is discarded and answered with `too-large`) and a stall
 //!   deadline on partially received lines; writes get OS-level
 //!   deadlines in the binary.
-//! * **Every accepted job inherits the campaign substrate.** Workers
-//!   run jobs through [`Campaign`] — crash isolation via
-//!   `catch_unwind`, per-attempt wall-clock deadlines, degrade-ladder
-//!   retries — and journal terminal outcomes to a shared fsynced
-//!   [`Journal`].
+//! * **Every accepted job runs through the shared executor**
+//!   (`crate::exec`): crash isolation via `catch_unwind` (or a
+//!   sandboxed child under process isolation), per-attempt wall-clock
+//!   deadlines, degrade-ladder retries — and its terminal outcome is
+//!   journaled to a shared fsynced [`Journal`].
 //! * **Duplicates simulate zero cycles.** The journal doubles as a
 //!   fingerprint-keyed result cache: a request whose fingerprint is
 //!   already journaled is answered from the record (`cached: true`),
@@ -45,11 +45,15 @@ use std::time::{Duration, Instant};
 
 use crow_workloads::AppProfile;
 
-use crate::campaign::{Campaign, CampaignPolicy, Journal, JournalRecord, Journaled, OutcomeKind};
+use crate::campaign::{
+    campaign_dir, CampaignPolicy, Journal, JournalRecord, Journaled, OutcomeKind,
+};
 use crate::config::{Mechanism, SystemConfig};
 use crate::error::CrowError;
+use crate::exec::{self, lock};
 use crate::experiments::Scale;
 use crate::json::Json;
+use crate::knobs::Knobs;
 use crate::report::SimReport;
 use crate::supervise::{Admit, IsolationMode, SupCounters, SuperviseConfig, Supervisor};
 use crate::system::System;
@@ -96,10 +100,6 @@ pub struct ServeConfig {
     pub allow_chaos: bool,
 }
 
-fn serve_err(reason: String) -> CrowError {
-    CrowError::Config(crow_dram::ConfigError::new("ServeConfig", reason))
-}
-
 impl ServeConfig {
     /// Built-in defaults with the journal under `dir`.
     pub fn new(dir: Option<PathBuf>) -> Self {
@@ -130,81 +130,30 @@ impl ServeConfig {
     /// [`ServeConfig::from_env`] against an arbitrary lookup (testable
     /// without mutating process-global state).
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, CrowError> {
-        let dir = lookup("CROW_CAMPAIGN_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results/campaign"));
-        let mut c = Self::new(Some(dir));
-        let uint = |k: &str, min: u64| -> Result<Option<u64>, CrowError> {
-            match lookup(k) {
-                None => Ok(None),
-                Some(v) => {
-                    let n: u64 = v
-                        .trim()
-                        .parse()
-                        .map_err(|_| serve_err(format!("{k}={v:?} is not an unsigned integer")))?;
-                    if n < min {
-                        return Err(serve_err(format!("{k}={v:?} must be at least {min}")));
-                    }
-                    Ok(Some(n))
-                }
-            }
+        let env = Knobs::new("ServeConfig", &lookup);
+        let mut c = Self::new(Some(campaign_dir(&lookup)));
+        let count = |k: &str, min: u64, d: usize| -> Result<usize, CrowError> {
+            Ok(env.uint(k, min)?.map_or(d, |n| n as usize))
         };
-        let secs = |k: &str| -> Result<Option<Duration>, CrowError> {
-            match lookup(k) {
-                None => Ok(None),
-                Some(v) => {
-                    let s: f64 = v
-                        .trim()
-                        .parse()
-                        .map_err(|_| serve_err(format!("{k}={v:?} is not a number of seconds")))?;
-                    if !(s >= 0.0 && s.is_finite()) {
-                        return Err(serve_err(format!(
-                            "{k}={v:?} must be a finite non-negative number"
-                        )));
-                    }
-                    Ok(Some(Duration::from_secs_f64(s)))
-                }
-            }
-        };
-        if let Some(n) = uint("CROW_SERVE_QUEUE", 1)? {
-            c.queue_depth = n as usize;
-        }
-        if let Some(n) = uint("CROW_SERVE_WORKERS", 1)? {
-            c.workers = n as usize;
-        }
-        if let Some(n) = uint("CROW_SERVE_MAX_LINE", 256)? {
-            c.max_line_bytes = n as usize;
-        }
-        if let Some(d) = secs("CROW_SERVE_READ_TIMEOUT_SECS")? {
+        c.queue_depth = count("CROW_SERVE_QUEUE", 1, c.queue_depth)?;
+        c.workers = count("CROW_SERVE_WORKERS", 1, c.workers)?;
+        c.max_line_bytes = count("CROW_SERVE_MAX_LINE", 256, c.max_line_bytes)?;
+        if let Some(d) = env.secs("CROW_SERVE_READ_TIMEOUT_SECS")? {
             if d.is_zero() {
-                return Err(serve_err(
-                    "CROW_SERVE_READ_TIMEOUT_SECS must be positive".into(),
-                ));
+                return Err(env.err("CROW_SERVE_READ_TIMEOUT_SECS must be positive"));
             }
             c.read_timeout = d;
         }
-        if let Some(d) = secs("CROW_SERVE_JOB_TIMEOUT_SECS")? {
+        // 0 disables the job deadline and the heartbeat.
+        if let Some(d) = env.secs("CROW_SERVE_JOB_TIMEOUT_SECS")? {
             c.job_timeout = (!d.is_zero()).then_some(d);
         }
-        if let Some(n) = uint("CROW_SERVE_RETRIES", 0)? {
-            c.max_retries = u32::try_from(n)
-                .map_err(|_| serve_err("CROW_SERVE_RETRIES does not fit in 32 bits".into()))?;
-        }
-        if let Some(d) = secs("CROW_SERVE_HEARTBEAT_SECS")? {
+        if let Some(d) = env.secs("CROW_SERVE_HEARTBEAT_SECS")? {
             c.heartbeat = (!d.is_zero()).then_some(d);
         }
+        c.max_retries = env.u32("CROW_SERVE_RETRIES", 0)?.unwrap_or(c.max_retries);
         c.supervise = SuperviseConfig::from_lookup(&lookup)?;
-        if let Some(v) = lookup("CROW_SERVE_CHAOS") {
-            c.allow_chaos = match v.trim() {
-                "1" | "true" | "yes" => true,
-                "0" | "false" | "no" | "" => false,
-                _ => {
-                    return Err(serve_err(format!(
-                        "CROW_SERVE_CHAOS={v:?} is not a boolean"
-                    )));
-                }
-            };
-        }
+        c.allow_chaos = env.flag("CROW_SERVE_CHAOS")?.unwrap_or(false);
         Ok(c)
     }
 }
@@ -347,116 +296,42 @@ impl SimJob {
         cfg
     }
 
-    /// Encodes the job as a JSON object — the parent half of the child
-    /// wire format (see [`crate::supervise`]). [`SimJob::from_json`]
-    /// inverts it exactly.
+    /// The job as a wire-format `{"op":"sim",...}` request — the parent
+    /// half of the child wire format (see [`crate::supervise`]), read
+    /// back by [`parse_request`]. Absent optionals are left out, and so
+    /// is `density` for DDR4 jobs (the parser rejects it there).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+        let apps = self.apps.iter().map(|a| Json::str(a.as_str())).collect();
+        let mut pairs = vec![
+            ("op", Json::str("sim")),
             ("id", Json::str(self.id.as_str())),
-            (
-                "apps",
-                Json::Arr(self.apps.iter().map(|a| Json::str(a.as_str())).collect()),
-            ),
+            ("apps", Json::Arr(apps)),
             ("mechanism", Json::str(self.mechanism.as_str())),
             ("insts", Json::u64(self.insts)),
             ("warmup", Json::u64(self.warmup)),
             ("seed", Json::u64(self.seed)),
-            ("density", Json::u64(u64::from(self.density))),
             ("llc_mib", Json::u64(self.llc_mib)),
             ("channels", Json::u64(u64::from(self.channels))),
             ("prefetch", Json::Bool(self.prefetch)),
             ("ddr4", Json::Bool(self.ddr4)),
             ("validate", Json::Bool(self.validate)),
-            (
-                "hammer_pattern",
-                match &self.hammer {
-                    Some((p, _)) => Json::str(p.as_str()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "hammer_intensity",
-                match &self.hammer {
-                    Some((_, i)) => Json::u64(*i),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "chaos",
-                match &self.chaos {
-                    Some(c) => Json::str(c.as_str()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "sample_window",
-                match &self.sample {
-                    Some(p) => Json::u64(p.window_insts),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "sample_warmup",
-                match &self.sample {
-                    Some(p) => Json::u64(p.warmup_insts),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "sample_ff",
-                match &self.sample {
-                    Some(p) => Json::u64(p.ff_insts),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-
-    /// Decodes a [`SimJob::to_json`] document. The wire format is
-    /// internal (parent to child over a pipe), so this is a consistency
-    /// check — any missing or mistyped field returns `None`.
-    pub fn from_json(doc: &Json) -> Option<Self> {
-        let str_field = |k: &str| doc.get(k).and_then(Json::as_str).map(str::to_string);
-        let u64_field = |k: &str| doc.get(k).and_then(Json::as_u64);
-        let bool_field = |k: &str| doc.get(k).and_then(Json::as_bool);
-        let hammer = match doc.get("hammer_pattern") {
-            None | Some(Json::Null) => None,
-            Some(p) => Some((p.as_str()?.to_string(), u64_field("hammer_intensity")?)),
-        };
-        let chaos = match doc.get("chaos") {
-            None | Some(Json::Null) => None,
-            Some(c) => Some(c.as_str()?.to_string()),
-        };
-        let sample = match doc.get("sample_window") {
-            None | Some(Json::Null) => None,
-            Some(w) => Some(crate::sampling::SamplePlan {
-                window_insts: w.as_u64()?,
-                warmup_insts: u64_field("sample_warmup")?,
-                ff_insts: u64_field("sample_ff")?,
-            }),
-        };
-        Some(SimJob {
-            id: str_field("id")?,
-            apps: doc
-                .get("apps")?
-                .as_arr()?
-                .iter()
-                .map(|a| a.as_str().map(str::to_string))
-                .collect::<Option<Vec<_>>>()?,
-            mechanism: str_field("mechanism")?,
-            insts: u64_field("insts")?,
-            warmup: u64_field("warmup")?,
-            seed: u64_field("seed")?,
-            density: u32::try_from(u64_field("density")?).ok()?,
-            llc_mib: u64_field("llc_mib")?,
-            channels: u32::try_from(u64_field("channels")?).ok()?,
-            prefetch: bool_field("prefetch")?,
-            ddr4: bool_field("ddr4")?,
-            validate: bool_field("validate")?,
-            hammer,
-            chaos,
-            sample,
-        })
+        ];
+        if !self.ddr4 {
+            pairs.push(("density", Json::u64(u64::from(self.density))));
+        }
+        if let Some((pattern, intensity)) = &self.hammer {
+            pairs.push(("hammer_pattern", Json::str(pattern.as_str())));
+            pairs.push(("hammer_intensity", Json::u64(*intensity)));
+        }
+        if let Some(chaos) = &self.chaos {
+            pairs.push(("chaos", Json::str(chaos.as_str())));
+        }
+        if let Some(p) = &self.sample {
+            pairs.push(("sample_window", Json::u64(p.window_insts)));
+            pairs.push(("sample_warmup", Json::u64(p.warmup_insts)));
+            pairs.push(("sample_ff", Json::u64(p.ff_insts)));
+        }
+        Json::obj(pairs)
     }
 }
 
@@ -513,7 +388,7 @@ fn id_ok(s: &str) -> bool {
     !s.is_empty() && s.len() <= MAX_ID_LEN && s.chars().all(|c| !c.is_control())
 }
 
-fn parse_request_doc(doc: &Json) -> Result<Request, CrowError> {
+pub(crate) fn parse_request_doc(doc: &Json) -> Result<Request, CrowError> {
     let pairs = doc
         .as_obj()
         .ok_or_else(|| bad_req("request must be a JSON object"))?;
@@ -550,6 +425,16 @@ fn parse_request_doc(doc: &Json) -> Result<Request, CrowError> {
     }
 }
 
+/// The string at `key`, if present; any other type is a bad request.
+fn str_key<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, CrowError> {
+    doc.get(key)
+        .map(|v| {
+            v.as_str()
+                .ok_or_else(|| bad_req(format!("{key:?} must be a string")))
+        })
+        .transpose()
+}
+
 fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> {
     const KEYS: [&str; 19] = [
         "op",
@@ -577,11 +462,7 @@ fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> 
             return Err(bad_req(format!("unknown key {k:?} for op \"sim\"")));
         }
     }
-    let id = doc
-        .get("id")
-        .ok_or_else(|| bad_req("missing required key \"id\""))?
-        .as_str()
-        .ok_or_else(|| bad_req("\"id\" must be a string"))?;
+    let id = str_key(doc, "id")?.ok_or_else(|| bad_req("missing required key \"id\""))?;
     if !id_ok(id) {
         return Err(bad_req(format!(
             "\"id\" must be 1..={MAX_ID_LEN} non-control characters"
@@ -629,18 +510,10 @@ fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> 
                 .ok_or_else(|| bad_req(format!("{key:?} must be a boolean"))),
         }
     };
-    let mechanism = match doc.get("mechanism") {
-        None => "baseline".to_string(),
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| bad_req("\"mechanism\" must be a string"))?;
-            if Mechanism::parse(s).is_none() {
-                return Err(bad_req(format!("unknown mechanism {s:?}")));
-            }
-            s.to_string()
-        }
-    };
+    let mechanism = str_key(doc, "mechanism")?.unwrap_or("baseline");
+    if Mechanism::parse(mechanism).is_none() {
+        return Err(bad_req(format!("unknown mechanism {mechanism:?}")));
+    }
     let insts = uint("insts", 100_000, MAX_JOB_INSTS)?;
     if insts == 0 {
         return Err(bad_req("\"insts\" must be positive"));
@@ -662,17 +535,12 @@ fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> 
     if ddr4 && doc.get("density").is_some() {
         return Err(bad_req("\"density\" applies to the LPDDR4 platform only"));
     }
-    let hammer = match doc.get("hammer_pattern") {
-        None => {
-            if doc.get("hammer_intensity").is_some() {
-                return Err(bad_req("\"hammer_intensity\" requires \"hammer_pattern\""));
-            }
-            None
+    let hammer = match str_key(doc, "hammer_pattern")? {
+        None if doc.get("hammer_intensity").is_some() => {
+            return Err(bad_req("\"hammer_intensity\" requires \"hammer_pattern\""));
         }
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| bad_req("\"hammer_pattern\" must be a string"))?;
+        None => None,
+        Some(s) => {
             if crate::hammer::AttackPattern::parse(s).is_none() {
                 return Err(bad_req(format!("unknown hammer pattern {s:?}")));
             }
@@ -683,19 +551,13 @@ fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> 
             Some((s.to_string(), intensity))
         }
     };
-    let chaos = match doc.get("chaos") {
-        None => None,
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| bad_req("\"chaos\" must be a string"))?;
-            if !CHAOS_MODES.contains(&s) {
-                return Err(bad_req(format!(
-                    "unknown chaos mode {s:?} (expected crash, crash-first, wedge, or bomb)"
-                )));
-            }
-            Some(s.to_string())
+    let chaos = match str_key(doc, "chaos")? {
+        Some(s) if !CHAOS_MODES.contains(&s) => {
+            return Err(bad_req(format!(
+                "unknown chaos mode {s:?} (expected crash, crash-first, wedge, or bomb)"
+            )));
         }
+        chaos => chaos.map(str::to_string),
     };
     let sample = if doc.get("sample_window").is_none()
         && doc.get("sample_warmup").is_none()
@@ -720,7 +582,7 @@ fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> 
     Ok(SimJob {
         id: id.to_string(),
         apps,
-        mechanism,
+        mechanism: mechanism.to_string(),
         insts,
         warmup: uint("warmup", 10_000, MAX_JOB_WARMUP)?,
         seed: uint("seed", 0xC0DE, u64::MAX)?,
@@ -954,13 +816,6 @@ struct Shared {
     supervisor: Option<Supervisor>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Worker panics are contained by the campaign layer; a poisoned
-    // mutex here only means some other thread panicked after its own
-    // state was already consistent.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Final accounting returned by [`Server::drain`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainSummary {
@@ -1022,7 +877,10 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("crow-serve-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .map_err(|e| serve_err(format!("cannot spawn worker: {e}")))
+                    .map_err(|e| {
+                        let reason = format!("cannot spawn worker: {e}");
+                        CrowError::Config(crow_dram::ConfigError::new("ServeConfig", reason))
+                    })
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { shared, workers })
@@ -1294,17 +1152,20 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Answers from the journal cache, if the fingerprint is there.
+/// The journaled record that may answer `fp` without re-running it.
+/// Thread mode: any record. Process mode: successes only — journaled
+/// failures stay retryable so a crash-looping fingerprint keeps feeding
+/// its circuit breaker instead of turning into a permanently cached
+/// error.
 fn cached_record(shared: &Shared, fp: &str) -> Option<JournalRecord> {
-    let journal = shared.journal.as_ref()?;
-    lock(journal).lookup(fp).cloned()
+    let rec = lock(shared.journal.as_ref()?).lookup(fp).cloned()?;
+    (shared.supervisor.is_none() || rec.payload.is_some()).then_some(rec)
 }
 
 /// The wire `code` for a terminal job failure. Timeouts and
 /// resource-cap kills get dedicated codes so clients can react
 /// differently (back off vs. shrink the job); everything else is
-/// `failed`. Thread-mode jobs can never produce a `resource-limit`
-/// error string, so this changes nothing for them.
+/// `failed`.
 fn failure_code(kind: OutcomeKind, error: Option<&str>) -> &'static str {
     if kind == OutcomeKind::TimedOut {
         "timeout"
@@ -1315,14 +1176,17 @@ fn failure_code(kind: OutcomeKind, error: Option<&str>) -> &'static str {
     }
 }
 
-fn reply_from_record(reply: &Reply, id: &str, rec: &JournalRecord) {
+/// Answers `id` from a journal record — a `result` event for a success,
+/// a coded `error` event otherwise — so a cached reply and the reply
+/// that first computed the job share every byte from `outcome` on.
+fn reply_record(reply: &Reply, id: &str, rec: &JournalRecord, cached: bool) {
     let report = rec.payload.as_deref().and_then(|t| Json::parse(t).ok());
     match report {
         Some(report) => reply.event(
             "result",
             Some(id),
             vec![
-                ("cached".into(), Json::Bool(true)),
+                ("cached".into(), Json::Bool(cached)),
                 ("outcome".into(), Json::str(rec.kind.as_str())),
                 ("attempts".into(), Json::u64(u64::from(rec.attempts))),
                 ("report".into(), report),
@@ -1331,7 +1195,7 @@ fn reply_from_record(reply: &Reply, id: &str, rec: &JournalRecord) {
         None => reply.error(
             Some(id),
             failure_code(rec.kind, rec.error.as_deref()),
-            rec.error.as_deref().unwrap_or("journaled failure"),
+            rec.error.as_deref().unwrap_or("job produced no result"),
         ),
     }
 }
@@ -1351,101 +1215,68 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Whether a journaled record may answer a request without re-running
-/// it. Thread mode: always (PR-6 behavior, byte for byte). Process
-/// mode: success records only — journaled failures stay retryable so a
-/// crash-looping fingerprint keeps feeding its circuit breaker instead
-/// of turning into a permanently cached error.
-fn record_usable(shared: &Shared, rec: &JournalRecord) -> bool {
-    shared.supervisor.is_none() || rec.payload.is_some()
-}
-
+/// One job: breaker admission, journal cache, in-flight dedup,
+/// execution, journal, reply.
 fn process_job(shared: &Shared, item: QueuedJob) {
     let QueuedJob { job, reply } = item;
     let fp = job.journal_fingerprint();
+    let sup = shared.supervisor.as_ref();
 
     // Circuit breaker first: a quarantined fingerprint is refused
     // before any cache or dedup work. The refusal is never journaled —
     // the cooldown is transient supervision state, not a result.
-    let mut probe = false;
-    if let Some(sup) = shared.supervisor.as_ref() {
-        match sup.breakers().admit(&fp) {
-            Admit::Run => {}
-            Admit::Probe => probe = true,
-            Admit::Quarantined { retry_after } => {
-                shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                let e = CrowError::Quarantined {
-                    fingerprint: fp.clone(),
-                    retry_after_ms: u64::try_from(retry_after.as_millis()).unwrap_or(u64::MAX),
-                };
-                reply.error(Some(&job.id), error_code(&e), &e.to_string());
-                return;
-            }
-        }
-    }
-    // If this job was admitted as the half-open probe but ends up not
-    // executing (cache hit, dedup), the probe slot must be handed back
-    // or the breaker would wedge half-open forever.
-    let release_probe = |shared: &Shared| {
-        if probe {
-            if let Some(sup) = shared.supervisor.as_ref() {
-                sup.breakers().release_probe(&fp);
-            }
-        }
-    };
-
-    // Fast path: already journaled — zero cycles simulated.
-    if let Some(rec) = cached_record(shared, &fp) {
-        if record_usable(shared, &rec) {
-            release_probe(shared);
-            shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            shared.stats.results.fetch_add(1, Ordering::Relaxed);
-            reply_from_record(&reply, &job.id, &rec);
+    let probe = match sup.map(|s| s.breakers().admit(&fp)) {
+        Some(Admit::Quarantined { retry_after }) => {
+            shared.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+            let e = CrowError::Quarantined {
+                fingerprint: fp.clone(),
+                retry_after_ms: u64::try_from(retry_after.as_millis()).unwrap_or(u64::MAX),
+            };
+            reply.error(Some(&job.id), error_code(&e), &e.to_string());
             return;
         }
-    }
+        admit => admit == Some(Admit::Probe),
+    };
 
-    // In-flight dedup: if another worker is computing this fingerprint,
-    // wait for it and answer from the journal instead of racing it.
+    // The journal cache and the in-flight gate are checked together
+    // under the in-flight lock. A running worker journals before it
+    // drops its claim, so a duplicate either finds the record or waits
+    // for the run that writes it: zero cycles simulated either way.
     let _guard = {
         let mut infl = lock(&shared.inflight);
         loop {
-            if !infl.contains(&fp) {
-                infl.insert(fp.clone());
-                break;
+            if let Some(rec) = cached_record(shared, &fp) {
+                drop(infl);
+                // A probe that does not execute hands its slot back, or
+                // the breaker would wedge half-open forever.
+                if let (true, Some(sup)) = (probe, sup) {
+                    sup.breakers().release_probe(&fp);
+                }
+                shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                shared.stats.results.fetch_add(1, Ordering::Relaxed);
+                reply_record(&reply, &job.id, &rec, true);
+                return;
+            }
+            if infl.insert(fp.clone()) {
+                break InflightGuard {
+                    shared,
+                    fp: fp.clone(),
+                };
             }
             infl = shared
                 .inflight_cv
                 .wait(infl)
                 .unwrap_or_else(PoisonError::into_inner);
-            if let Some(journal) = shared.journal.as_ref() {
-                let rec = lock(journal).lookup(&fp).cloned();
-                if let Some(rec) = rec {
-                    if record_usable(shared, &rec) {
-                        drop(infl);
-                        release_probe(shared);
-                        shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        shared.stats.results.fetch_add(1, Ordering::Relaxed);
-                        reply_from_record(&reply, &job.id, &rec);
-                        return;
-                    }
-                }
-            }
-        }
-        InflightGuard {
-            shared,
-            fp: fp.clone(),
         }
     };
 
-    let scale = job.scale();
-    let mut policy = CampaignPolicy::new(scale);
+    let mut policy = CampaignPolicy::new(job.scale());
     policy.timeout = shared.cfg.job_timeout;
     policy.max_retries = shared.cfg.max_retries;
     reply.event(
         "started",
         Some(&job.id),
-        vec![("insts".into(), Json::u64(scale.insts))],
+        vec![("insts".into(), Json::u64(job.insts))],
     );
 
     // Heartbeats while the job simulates, so a long-running request is
@@ -1469,100 +1300,48 @@ fn process_job(shared: &Shared, item: QueuedJob) {
         })
     });
 
-    // Thread mode runs the job in-process through the campaign layer,
-    // exactly as before supervision existed; process mode hands it to
-    // the supervisor, which re-execs this binary as a sandboxed child
-    // per attempt. Either way the outcome lands in one shape:
-    // (kind, attempts, error, report-as-JSON).
-    let outcome: Option<(OutcomeKind, u32, Option<String>, Option<Json>)> =
-        match shared.supervisor.as_ref() {
-            Some(sup) => {
-                let o = sup.execute(&fp, &job, &policy);
-                Some((o.kind, o.attempts, o.error, o.report))
-            }
-            None => {
-                // The campaign layer supplies crash isolation
-                // (catch_unwind), per-attempt deadlines, and the degrade
-                // ladder; the shared journal append below supplies
-                // durability and the result cache.
-                let mut camp = Campaign::ephemeral(&job.id, policy);
-                let o = camp
-                    .run(vec![(job.fingerprint(), job.clone())], run_sim)
-                    .into_iter()
-                    .next();
-                shared
-                    .stats
-                    .abandoned_attempts
-                    .fetch_add(camp.counts().abandoned, Ordering::Relaxed);
-                o.map(|o| (o.kind, o.attempts, o.error, o.result.map(|r| r.encode())))
-            }
-        };
-
+    let s = &shared.stats;
+    let ex = match sup {
+        Some(sup) => sup.execute(&fp, &job, &policy),
+        None => {
+            let ex = exec::execute(&policy, &fp, None, |_, scale| {
+                let job = job.clone();
+                exec::in_thread(policy.timeout, move || {
+                    run_sim(&job, scale).map(|r| r.encode())
+                })
+            });
+            s.abandoned_attempts
+                .fetch_add(ex.timeouts, Ordering::Relaxed);
+            ex
+        }
+    };
     drop(hb_done_tx);
     if let Some(h) = heartbeat {
         let _ = h.join();
     }
 
-    let Some((kind, attempts, error, report)) = outcome else {
-        // Campaign::run returns one outcome per job by contract; treat
-        // anything else as a failed job rather than panicking a worker.
-        shared.stats.failures.fetch_add(1, Ordering::Relaxed);
-        reply.error(Some(&job.id), "failed", "supervisor produced no outcome");
-        return;
+    s.jobs_run.fetch_add(1, Ordering::Relaxed);
+    let cycles = ex.result.as_ref().and_then(|r| r.get("cpu_cycles"));
+    let cycles = cycles.and_then(Json::as_u64).unwrap_or(0);
+    s.cycles_simulated.fetch_add(cycles, Ordering::Relaxed);
+    let answered = if ex.result.is_some() {
+        &s.results
+    } else {
+        &s.failures
     };
-
-    shared.stats.jobs_run.fetch_add(1, Ordering::Relaxed);
-    if let Some(cycles) = report
-        .as_ref()
-        .and_then(|r| r.get("cpu_cycles"))
-        .and_then(Json::as_u64)
-    {
-        shared
-            .stats
-            .cycles_simulated
-            .fetch_add(cycles, Ordering::Relaxed);
-    }
+    answered.fetch_add(1, Ordering::Relaxed);
 
     // Journal the terminal outcome (fsynced) before answering, so a
     // client that saw a result can always get it again after a crash.
+    let rec = ex.record(fp);
     if let Some(journal) = shared.journal.as_ref() {
-        let rec = JournalRecord {
-            fingerprint: fp.clone(),
-            kind,
-            attempts,
-            error: error.clone(),
-            payload: report.as_ref().map(Json::render),
-        };
         if let Err(e) = lock(journal).append(&rec) {
-            // Same stance as campaigns: a journal write failure must not
-            // kill the job; the server just stops being a cache for it.
+            // A journal write failure must not kill the job; the server
+            // just stops being a cache for it.
             eprintln!("crow-serve: {e}");
         }
     }
-
-    match &report {
-        Some(r) => {
-            shared.stats.results.fetch_add(1, Ordering::Relaxed);
-            reply.event(
-                "result",
-                Some(&job.id),
-                vec![
-                    ("cached".into(), Json::Bool(false)),
-                    ("outcome".into(), Json::str(kind.as_str())),
-                    ("attempts".into(), Json::u64(u64::from(attempts))),
-                    ("report".into(), r.clone()),
-                ],
-            );
-        }
-        None => {
-            shared.stats.failures.fetch_add(1, Ordering::Relaxed);
-            reply.error(
-                Some(&job.id),
-                failure_code(kind, error.as_deref()),
-                error.as_deref().unwrap_or("job produced no result"),
-            );
-        }
-    }
+    reply_record(&reply, &job.id, &rec, false);
 }
 
 /// Executes one validated job at the given (possibly degraded) scale.
@@ -1619,7 +1398,7 @@ mod tests {
             "CROW_SERVE_HEARTBEAT_SECS" => Some("0".into()),
             "CROW_CAMPAIGN_DIR" => Some("/tmp/x".into()),
             "CROW_SERVE_ISOLATION" => Some("process".into()),
-            "CROW_SERVE_CHAOS" => Some("1".into()),
+            "CROW_SERVE_CHAOS" => Some("yes".into()),
             _ => None,
         })
         .unwrap();
@@ -1637,6 +1416,11 @@ mod tests {
             "supervision knobs flow through ServeConfig"
         );
         assert!(c.allow_chaos);
+        let off = ServeConfig::from_lookup(|k| (k == "CROW_SERVE_CHAOS").then(|| "no".into()));
+        assert!(
+            !off.unwrap().allow_chaos,
+            "one boolean grammar for every flag"
+        );
         for (k, v) in [
             ("CROW_SERVE_QUEUE", "0"),
             ("CROW_SERVE_QUEUE", "many"),

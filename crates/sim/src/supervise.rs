@@ -1,9 +1,9 @@
 //! Process-isolated job execution for the simulation service: child
-//! sandboxes, hard kills, circuit breakers, and crash-loop backoff.
+//! sandboxes, hard kills, and circuit breakers.
 //!
-//! PR 6's `crow-serve` runs jobs as `catch_unwind` threads inside the
-//! server process. That contains panics, but three failure classes leak
-//! through a thread boundary by construction:
+//! Thread-mode `crow-serve` runs attempts as `catch_unwind` threads
+//! inside the server process. That contains panics, but three failure
+//! classes leak through a thread boundary by construction:
 //!
 //! * a **wedged** attempt is merely *abandoned* — its thread keeps
 //!   burning a core until the process exits;
@@ -11,28 +11,21 @@
 //!   whole server, healthy jobs included;
 //! * a **corrupting** job shares an address space with every other job.
 //!
-//! [`Supervisor`] restores real fault containment by re-exec'ing the
-//! server binary as a sandboxed child per attempt (`crow-serve
-//! --job-runner <parent-pid>`): the parent writes one job spec to the
-//! child's stdin, the child runs it through the ordinary single-job
-//! [`Campaign`] machinery and writes a result envelope to stdout, and
-//! the parent polls `try_wait` while enforcing the job deadline and an
-//! RSS cap read from `/proc/<pid>/statm` — breaching either gets the
-//! child SIGKILLed and reaped, so wedged and memory-bomb jobs actually
-//! *die*.
+//! [`Supervisor`] is the process backend of the shared executor
+//! (`crate::exec`): each attempt re-execs the server binary as a
+//! sandboxed child (`crow-serve --job-runner <parent-pid>`). The parent
+//! writes one job spec to the child's stdin, the child runs the
+//! simulation and writes a result envelope to stdout, and the parent
+//! polls `try_wait` while enforcing the job deadline and an RSS cap read
+//! from `/proc/<pid>/statm` — breaching either gets the child SIGKILLed
+//! and reaped, so wedged and memory-bomb jobs actually *die*.
 //!
-//! On top of the process boundary sit two service-protection layers:
-//!
-//! * **per-fingerprint circuit breakers** ([`Breakers`]): K consecutive
-//!   child crashes/kills for one fingerprint open the breaker; further
-//!   duplicates are answered with a structured `quarantined` error for
-//!   the cooldown, then a single half-open probe decides between
-//!   closing the breaker and re-opening it. A poison job cannot occupy
-//!   the worker pool in a crash loop.
-//! * **exponential crash-loop backoff with jitter**: a worker slot that
-//!   just reaped a crashed child waits `base * 2^crashes` (capped,
-//!   jittered ±50%) before the retry attempt, so a crash storm cannot
-//!   re-spawn children as fast as the kernel can reap them.
+//! Child crashes and kills are evidence for **per-fingerprint circuit
+//! breakers** ([`Breakers`]): K consecutive failures for one fingerprint
+//! open the breaker; further duplicates are answered with a structured
+//! `quarantined` error for the cooldown, then a single half-open probe
+//! decides between closing the breaker and re-opening it. A poison job
+//! cannot occupy the worker pool in a crash loop.
 //!
 //! The hosting binary must dispatch `--job-runner` to
 //! [`job_runner_main`] before any other argument parsing (`crow-serve`
@@ -41,39 +34,32 @@
 
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
-
-use crate::campaign::{fnv1a64, Campaign, CampaignPolicy, Journaled as _, OutcomeKind};
+use crate::campaign::{CampaignPolicy, Journaled as _, OutcomeKind};
 use crate::error::CrowError;
+use crate::exec::{self, lock, Ended, Executed};
 use crate::experiments::Scale;
 use crate::json::Json;
-use crate::server::SimJob;
-
-fn sup_err(reason: String) -> CrowError {
-    CrowError::Config(crow_dram::ConfigError::new("SuperviseConfig", reason))
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::knobs::Knobs;
+use crate::server::{parse_request_doc, run_sim, Request, SimJob};
 
 // --- configuration ----------------------------------------------------
 
 /// Where an accepted job executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IsolationMode {
-    /// In-process `catch_unwind` worker threads (PR 6 behavior, the
-    /// default): cheapest, but wedged attempts linger and a runaway
-    /// allocation is shared-fate.
+    /// In-process `catch_unwind` worker threads (the default):
+    /// cheapest, but wedged attempts linger and a runaway allocation is
+    /// shared-fate.
     Thread,
     /// One sandboxed child process per attempt, hard-killed on deadline
-    /// or RSS-cap breach, with circuit breakers and crash-loop backoff.
+    /// or RSS-cap breach, with circuit breakers.
     Process,
 }
 
@@ -106,12 +92,6 @@ pub struct SuperviseConfig {
     /// a half-open probe (`CROW_SERVE_BREAKER_COOLDOWN_SECS`, default
     /// 30 s).
     pub breaker_cooldown: Duration,
-    /// Crash-loop backoff base: a retry after `n` consecutive child
-    /// crashes waits `base * 2^(n-1)` (capped, jittered) before the
-    /// slot refills.
-    pub backoff_base: Duration,
-    /// Ceiling of the exponential backoff.
-    pub backoff_cap: Duration,
     /// The binary to re-exec as the job runner; `None` uses
     /// `current_exe()` (correct for `crow-serve`, which dispatches
     /// `--job-runner` before its own argument parsing).
@@ -125,8 +105,6 @@ impl Default for SuperviseConfig {
             rss_cap: Some(4096 << 20),
             breaker_k: 3,
             breaker_cooldown: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
             runner_exe: None,
         }
     }
@@ -142,48 +120,26 @@ impl SuperviseConfig {
     /// [`SuperviseConfig::from_env`] against an arbitrary lookup
     /// (testable without mutating process-global state).
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, CrowError> {
+        let env = Knobs::new("SuperviseConfig", &lookup);
         let mut c = Self::default();
-        if let Some(v) = lookup("CROW_SERVE_ISOLATION") {
+        if let Some(v) = env.raw("CROW_SERVE_ISOLATION") {
             c.isolation = match v.trim() {
                 "process" => IsolationMode::Process,
                 "thread" => IsolationMode::Thread,
                 _ => {
-                    return Err(sup_err(format!(
+                    return Err(env.err(format!(
                         "CROW_SERVE_ISOLATION={v:?} must be \"process\" or \"thread\""
                     )))
                 }
             };
         }
-        let uint = |k: &str| -> Result<Option<u64>, CrowError> {
-            match lookup(k) {
-                None => Ok(None),
-                Some(v) => v
-                    .trim()
-                    .parse()
-                    .map(Some)
-                    .map_err(|_| sup_err(format!("{k}={v:?} is not an unsigned integer"))),
-            }
-        };
-        if let Some(mb) = uint("CROW_SERVE_RSS_MB")? {
+        if let Some(mb) = env.uint("CROW_SERVE_RSS_MB", 0)? {
             c.rss_cap = (mb > 0).then_some(mb << 20);
         }
-        if let Some(k) = uint("CROW_SERVE_BREAKER_K")? {
-            c.breaker_k = u32::try_from(k)
-                .map_err(|_| sup_err("CROW_SERVE_BREAKER_K does not fit in 32 bits".into()))?;
-        }
-        if let Some(v) = lookup("CROW_SERVE_BREAKER_COOLDOWN_SECS") {
-            let s: f64 = v.trim().parse().map_err(|_| {
-                sup_err(format!(
-                    "CROW_SERVE_BREAKER_COOLDOWN_SECS={v:?} is not a number of seconds"
-                ))
-            })?;
-            if !(s >= 0.0 && s.is_finite()) {
-                return Err(sup_err(format!(
-                    "CROW_SERVE_BREAKER_COOLDOWN_SECS={v:?} must be a finite non-negative number"
-                )));
-            }
-            c.breaker_cooldown = Duration::from_secs_f64(s);
-        }
+        c.breaker_k = env.u32("CROW_SERVE_BREAKER_K", 0)?.unwrap_or(c.breaker_k);
+        c.breaker_cooldown = env
+            .secs("CROW_SERVE_BREAKER_COOLDOWN_SECS")?
+            .unwrap_or(c.breaker_cooldown);
         Ok(c)
     }
 }
@@ -414,33 +370,6 @@ struct ChildInfo {
     started: Instant,
 }
 
-/// The terminal outcome of one supervised (multi-attempt) execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupOutcome {
-    /// How the job ended.
-    pub kind: OutcomeKind,
-    /// Attempts executed (spawned children).
-    pub attempts: u32,
-    /// The last failure message, for failed jobs.
-    pub error: Option<String>,
-    /// The child-produced report document, for successful jobs.
-    pub report: Option<Json>,
-}
-
-/// How one child run ended, before retry policy is applied.
-enum ChildEnd {
-    /// Exit 0 with a well-formed result envelope.
-    Output(Json),
-    /// Abnormal exit, or exit 0 without a parseable envelope.
-    Crash(String),
-    /// SIGKILLed at the deadline.
-    KilledDeadline(Duration),
-    /// SIGKILLed over the RSS cap.
-    KilledRss { rss_mib: u64, cap_mib: u64 },
-    /// The child could not be spawned at all (not the job's fault).
-    Spawn(String),
-}
-
 /// How often the parent polls a live child (exit, deadline, RSS).
 const CHILD_POLL: Duration = Duration::from_millis(10);
 
@@ -468,8 +397,12 @@ impl Supervisor {
     pub fn new(cfg: SuperviseConfig) -> Result<Self, CrowError> {
         let exe = match &cfg.runner_exe {
             Some(p) => p.clone(),
-            None => std::env::current_exe()
-                .map_err(|e| sup_err(format!("cannot resolve current_exe: {e}")))?,
+            None => std::env::current_exe().map_err(|e| {
+                CrowError::Config(crow_dram::ConfigError::new(
+                    "SuperviseConfig",
+                    format!("cannot resolve current_exe: {e}"),
+                ))
+            })?,
         };
         Ok(Self {
             breakers: Breakers::new(cfg.breaker_k, cfg.breaker_cooldown),
@@ -517,157 +450,44 @@ impl Supervisor {
         out
     }
 
-    /// Executes one job to a terminal outcome: spawn a child per
-    /// attempt, enforce deadline and RSS cap with SIGKILL, apply the
-    /// degrade-ladder retry policy with crash-loop backoff, and keep the
-    /// fingerprint's circuit breaker posted. The caller has already
-    /// passed [`Breakers::admit`]; this method ends any held probe.
-    pub fn execute(&self, fp: &str, job: &SimJob, policy: &CampaignPolicy) -> SupOutcome {
-        let mut attempt: u32 = 0;
-        let mut crashes: u32 = 0;
-        loop {
-            let scale = policy.scale_for_attempt(attempt);
-            let spec = runner_spec(job, scale, attempt);
-            let end = self.run_child(fp, &spec, policy.timeout);
-            let (kind, err, countable) = match end {
-                ChildEnd::Output(env) => {
-                    if env.get("ok").and_then(Json::as_bool) == Some(true) {
-                        match env.get("report") {
-                            Some(report) => {
-                                self.breakers.record_success(fp);
-                                let kind = if scale == policy.scale {
-                                    OutcomeKind::Ok
-                                } else {
-                                    OutcomeKind::Degraded
-                                };
-                                return SupOutcome {
-                                    kind,
-                                    attempts: attempt + 1,
-                                    error: None,
-                                    report: Some(report.clone()),
-                                };
-                            }
-                            None => {
-                                self.crashes.fetch_add(1, Ordering::Relaxed);
-                                (
-                                    OutcomeKind::Panicked,
-                                    "crash: child result envelope has no report".to_string(),
-                                    true,
-                                )
-                            }
-                        }
-                    } else {
-                        // A structured failure: the child process worked;
-                        // the job itself errored. Retryable, but not
-                        // breaker evidence.
-                        let msg = env
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("child reported an unspecified error");
-                        (OutcomeKind::Panicked, format!("error: {msg}"), false)
-                    }
-                }
-                ChildEnd::Crash(detail) => {
-                    self.crashes.fetch_add(1, Ordering::Relaxed);
-                    (OutcomeKind::Panicked, format!("crash: {detail}"), true)
-                }
-                ChildEnd::KilledDeadline(d) => (
-                    OutcomeKind::TimedOut,
-                    format!("deadline: child exceeded {d:?} (SIGKILL)"),
-                    true,
-                ),
-                ChildEnd::KilledRss { rss_mib, cap_mib } => (
-                    OutcomeKind::Panicked,
-                    CrowError::ResourceLimit { rss_mib, cap_mib }.to_string(),
-                    true,
-                ),
-                ChildEnd::Spawn(e) => {
-                    self.breakers.release_probe(fp);
-                    return SupOutcome {
-                        kind: OutcomeKind::Panicked,
-                        attempts: attempt + 1,
-                        error: Some(format!("spawn: {e}")),
-                        report: None,
-                    };
-                }
-            };
-            let opened = if countable {
-                crashes += 1;
-                self.breakers.record_failure(fp)
-            } else {
-                false
-            };
-            if opened {
-                // Stop retrying a poison fingerprint the moment its
-                // breaker opens; duplicates are now quarantined at
-                // admission.
-                return SupOutcome {
-                    kind,
-                    attempts: attempt + 1,
-                    error: Some(format!(
-                        "{err}; circuit breaker opened after {} consecutive child failure(s)",
-                        self.breakers.k()
-                    )),
-                    report: None,
-                };
-            }
-            if attempt >= policy.max_retries {
-                if !countable {
-                    self.breakers.release_probe(fp);
-                }
-                return SupOutcome {
-                    kind,
-                    attempts: attempt + 1,
-                    error: Some(err),
-                    report: None,
-                };
-            }
-            attempt += 1;
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            self.backoff(fp, attempt, crashes);
-        }
+    /// Executes one job through the shared retry loop, one sandboxed
+    /// child per attempt. The caller has already passed
+    /// [`Breakers::admit`]; the loop ends any held probe.
+    pub(crate) fn execute(
+        &self,
+        fp: &str,
+        job: &SimJob,
+        policy: &CampaignPolicy,
+    ) -> Executed<Json> {
+        let ex = exec::execute(policy, fp, Some(&self.breakers), |n, scale| {
+            self.attempt(fp, &runner_spec(job, scale, n), policy.timeout)
+        });
+        self.retries
+            .fetch_add(u64::from(ex.attempts - 1), Ordering::Relaxed);
+        ex
     }
 
-    /// Crash-loop backoff before a retry: exponential in the number of
-    /// consecutive child crashes, capped, and jittered to ±50% so a
-    /// storm of identical poison jobs decorrelates.
-    fn backoff(&self, fp: &str, attempt: u32, crashes: u32) {
-        let exp = crashes.max(attempt).saturating_sub(1).min(10);
-        let raw = self.cfg.backoff_base.saturating_mul(1 << exp);
-        let capped = raw.min(self.cfg.backoff_cap);
-        let seed = fnv1a64(
-            format!(
-                "{fp}/{attempt}/{}/{}",
-                self.tag,
-                self.spawned.load(Ordering::Relaxed)
-            )
-            .as_bytes(),
-        );
-        let jitter = StdRng::seed_from_u64(seed).gen_range(0.5..1.5);
-        std::thread::sleep(capped.mul_f64(jitter));
-    }
-
-    /// Spawns, feeds, watches, and reaps one child.
-    fn run_child(&self, fp: &str, spec: &str, deadline: Option<Duration>) -> ChildEnd {
-        let mut cmd = Command::new(&self.exe);
-        cmd.arg("--job-runner")
+    /// The process backend: spawns, feeds, watches, and reaps one child
+    /// running `spec`.
+    fn attempt(&self, fp: &str, spec: &str, deadline: Option<Duration>) -> Ended<Json> {
+        let spawned = Command::new(&self.exe)
+            .arg("--job-runner")
             .arg(&self.tag)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        let mut child = match cmd.spawn() {
+            .stderr(Stdio::null())
+            .spawn();
+        let mut child = match spawned {
             Ok(c) => c,
-            Err(e) => return ChildEnd::Spawn(e.to_string()),
+            Err(e) => return Ended::Aborted(format!("spawn: {e}")),
         };
         self.spawned.fetch_add(1, Ordering::Relaxed);
         let pid = child.id();
-        lock(&self.children).insert(
-            pid,
-            ChildInfo {
-                fingerprint: fp.to_string(),
-                started: Instant::now(),
-            },
-        );
+        let info = ChildInfo {
+            fingerprint: fp.to_string(),
+            started: Instant::now(),
+        };
+        lock(&self.children).insert(pid, info);
         let end = self.watch(&mut child, spec, deadline);
         lock(&self.children).remove(&pid);
         end
@@ -675,7 +495,7 @@ impl Supervisor {
 
     /// The per-child supervision loop. On every return path the child
     /// has been reaped (`wait`), so no zombie survives.
-    fn watch(&self, child: &mut Child, spec: &str, deadline: Option<Duration>) -> ChildEnd {
+    fn watch(&self, child: &mut Child, spec: &str, deadline: Option<Duration>) -> Ended<Json> {
         // The stdout reader must exist before the child can fill the
         // pipe, or a chatty child deadlocks against our try_wait loop.
         let reader = child.stdout.take().map(|mut out| {
@@ -696,53 +516,87 @@ impl Supervisor {
         }
         let started = Instant::now();
         let status = loop {
-            match child.try_wait() {
+            let breach = match child.try_wait() {
                 Ok(Some(status)) => break status,
-                Ok(None) => {}
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    drain(reader);
-                    return ChildEnd::Crash(format!("wait failed: {e}"));
-                }
-            }
-            if let Some(d) = deadline {
-                if started.elapsed() >= d {
-                    let _ = child.kill(); // SIGKILL on unix.
-                    let _ = child.wait(); // Reap; no zombie.
-                    drain(reader);
-                    self.killed_deadline.fetch_add(1, Ordering::Relaxed);
-                    return ChildEnd::KilledDeadline(d);
-                }
-            }
-            if let Some(cap) = self.cfg.rss_cap {
-                if let Some(rss) = rss_bytes(child.id()) {
-                    if rss > cap {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        drain(reader);
-                        self.killed_rss.fetch_add(1, Ordering::Relaxed);
-                        return ChildEnd::KilledRss {
-                            rss_mib: rss >> 20,
-                            cap_mib: cap >> 20,
-                        };
-                    }
-                }
+                Ok(None) => self.breach(child.id(), started, deadline),
+                Err(e) => Some(self.crash(format!("wait failed: {e}"))),
+            };
+            if let Some(end) = breach {
+                let _ = child.kill(); // SIGKILL on unix.
+                let _ = child.wait(); // Reap; no zombie.
+                drain(reader);
+                return end;
             }
             std::thread::sleep(CHILD_POLL);
         };
         let out = drain(reader);
         if !status.success() {
-            return ChildEnd::Crash(format!("child exited abnormally ({status})"));
+            return self.crash(format!("child exited abnormally ({status})"));
         }
         let envelope = out
             .lines()
             .find(|l| !l.trim().is_empty())
-            .and_then(|l| Json::parse(l).ok());
-        match envelope {
-            Some(env) if env.get("v").and_then(Json::as_u64) == Some(1) => ChildEnd::Output(env),
-            _ => ChildEnd::Crash("child exited 0 without a result envelope".into()),
+            .and_then(|l| Json::parse(l).ok())
+            .filter(|env| env.get("v").and_then(Json::as_u64) == Some(1));
+        let Some(env) = envelope else {
+            return self.crash("child exited 0 without a result envelope".into());
+        };
+        if env.get("ok").and_then(Json::as_bool) != Some(true) {
+            // A structured failure: the child process worked; the job
+            // itself errored. Retryable, but not breaker evidence.
+            let msg = env
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("child reported an unspecified error");
+            return Ended::Failed {
+                kind: OutcomeKind::Panicked,
+                error: format!("error: {msg}"),
+                evidence: false,
+            };
         }
+        match env.get("report") {
+            Some(report) => Ended::Done(report.clone()),
+            None => self.crash("child result envelope has no report".into()),
+        }
+    }
+
+    /// A deadline or RSS-cap breach of the live child `pid`, if any.
+    fn breach(
+        &self,
+        pid: u32,
+        started: Instant,
+        deadline: Option<Duration>,
+    ) -> Option<Ended<Json>> {
+        if let Some(d) = deadline.filter(|&d| started.elapsed() >= d) {
+            self.killed_deadline.fetch_add(1, Ordering::Relaxed);
+            return Some(evidence(
+                OutcomeKind::TimedOut,
+                format!("deadline: child exceeded {d:?} (SIGKILL)"),
+            ));
+        }
+        let cap = self.cfg.rss_cap?;
+        let rss = rss_bytes(pid).filter(|&rss| rss > cap)?;
+        self.killed_rss.fetch_add(1, Ordering::Relaxed);
+        let e = CrowError::ResourceLimit {
+            rss_mib: rss >> 20,
+            cap_mib: cap >> 20,
+        };
+        Some(evidence(OutcomeKind::Panicked, e.to_string()))
+    }
+
+    /// A child crash: abnormal exit, or output that is not a result.
+    fn crash(&self, detail: String) -> Ended<Json> {
+        self.crashes.fetch_add(1, Ordering::Relaxed);
+        evidence(OutcomeKind::Panicked, format!("crash: {detail}"))
+    }
+}
+
+/// A failed attempt that counts toward the fingerprint's breaker.
+fn evidence(kind: OutcomeKind, error: String) -> Ended<Json> {
+    Ended::Failed {
+        kind,
+        error,
+        evidence: true,
     }
 }
 
@@ -756,7 +610,8 @@ fn rss_bytes(pid: u32) -> Option<u64> {
     Some(resident * 4096)
 }
 
-/// The one-line job spec the parent writes to a child's stdin.
+/// The one-line job spec the parent writes to a child's stdin: the
+/// attempt, its degraded scale, and the job as a wire-format request.
 fn runner_spec(job: &SimJob, scale: Scale, attempt: u32) -> String {
     Json::obj(vec![
         ("v", Json::u64(1)),
@@ -771,10 +626,10 @@ fn runner_spec(job: &SimJob, scale: Scale, attempt: u32) -> String {
 // --- the child side ---------------------------------------------------
 
 /// Entry point of the sandboxed job runner (`crow-serve --job-runner`):
-/// reads one job spec line from stdin, runs it through a single-job
-/// [`Campaign`], writes the result envelope to stdout, and exits.
-/// Deadlines and resource caps are the *parent's* job (SIGKILL); the
-/// child itself runs the attempt unbounded.
+/// reads one job spec line from stdin, runs the simulation under
+/// `catch_unwind`, writes the result envelope to stdout, and exits.
+/// Deadlines, resource caps and retries are the *parent's* job; the
+/// child runs its one attempt unbounded.
 pub fn job_runner_main() -> ! {
     match run_spec_from_stdin() {
         Ok(envelope) => {
@@ -794,7 +649,26 @@ fn run_spec_from_stdin() -> Result<String, String> {
     std::io::stdin()
         .read_line(&mut line)
         .map_err(|e| format!("stdin: {e}"))?;
-    let spec = Json::parse(line.trim()).map_err(|e| format!("spec is not JSON: {e}"))?;
+    let (attempt, scale, job) = parse_spec(line.trim())?;
+    if let Some(chaos) = &job.chaos {
+        apply_chaos(chaos, attempt);
+    }
+    let outcome = match catch_unwind(AssertUnwindSafe(|| run_sim(&job, scale))) {
+        Ok(Ok(report)) => ("report", report.encode()),
+        Ok(Err(e)) => ("error", Json::str(format!("error: {e}"))),
+        Err(p) => (
+            "error",
+            Json::str(format!("panic: {}", exec::panic_message(p.as_ref()))),
+        ),
+    };
+    let ok = Json::Bool(outcome.0 == "report");
+    Ok(Json::obj(vec![("v", Json::u64(1)), ("ok", ok), outcome]).render())
+}
+
+/// Decodes a [`runner_spec`] line: the attempt, the scale to run at,
+/// and the job, read back by the server's strict request parser.
+fn parse_spec(line: &str) -> Result<(u64, Scale, SimJob), String> {
+    let spec = Json::parse(line).map_err(|e| format!("spec is not JSON: {e}"))?;
     if spec.get("v").and_then(Json::as_u64) != Some(1) {
         return Err("spec: unsupported version".into());
     }
@@ -803,59 +677,19 @@ fn run_spec_from_stdin() -> Result<String, String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("spec: missing or non-integer {k:?}"))
     };
-    let (attempt, insts, warmup) = (field("attempt")?, field("insts")?, field("warmup")?);
-    let job = spec
-        .get("job")
-        .and_then(SimJob::from_json)
-        .ok_or("spec: malformed job document")?;
-    if let Some(chaos) = job.chaos.clone() {
-        apply_chaos(&chaos, attempt);
-    }
+    let job = match spec.get("job").map(parse_request_doc) {
+        Some(Ok(Request::Sim(job))) => *job,
+        Some(Err(e)) => return Err(format!("spec: bad job: {e}")),
+        _ => return Err("spec: missing sim job".into()),
+    };
+    // The sampling plan rides the job, not the degrade ladder: a
+    // degraded attempt keeps the job's plan.
     let scale = Scale {
-        insts,
-        warmup,
-        mixes_per_group: 1,
-        max_cycles: u64::MAX,
-        threads: 1,
-        checkpoints: false,
-        // The sampling plan rides the job document, not the envelope's
-        // degrade ladder: a degraded attempt keeps the job's plan.
-        sample: job.sample,
+        insts: field("insts")?,
+        warmup: field("warmup")?,
+        ..job.scale()
     };
-    let mut policy = CampaignPolicy::new(scale);
-    policy.max_retries = 0; // The parent owns the retry ladder.
-    policy.timeout = None; // The parent owns the deadline (SIGKILL).
-    policy.threads = 1;
-    let mut camp = Campaign::ephemeral(&job.id, policy);
-    let outcome = camp
-        .run(vec![(job.fingerprint(), job)], |j: &SimJob, s| {
-            crate::server::run_sim(j, s)
-        })
-        .into_iter()
-        .next();
-    let envelope = match outcome {
-        Some(o) => match o.result {
-            Some(r) => Json::obj(vec![
-                ("v", Json::u64(1)),
-                ("ok", Json::Bool(true)),
-                ("report", r.encode()),
-            ]),
-            None => Json::obj(vec![
-                ("v", Json::u64(1)),
-                ("ok", Json::Bool(false)),
-                (
-                    "error",
-                    Json::str(o.error.unwrap_or_else(|| "job produced no result".into())),
-                ),
-            ]),
-        },
-        None => Json::obj(vec![
-            ("v", Json::u64(1)),
-            ("ok", Json::Bool(false)),
-            ("error", Json::str("campaign produced no outcome")),
-        ]),
-    };
-    Ok(envelope.render())
+    Ok((field("attempt")?, scale, job))
 }
 
 /// Deliberate misbehavior for chaos testing, applied in the child only
@@ -1002,9 +836,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn runner_spec_roundtrips_through_the_child_parser() {
-        let job = SimJob {
+    fn job(tweak: impl FnOnce(&mut SimJob)) -> SimJob {
+        let mut job = SimJob {
             id: "j1".into(),
             apps: vec!["mcf".into(), "gcc".into()],
             mechanism: "crow-8".into(),
@@ -1017,16 +850,51 @@ mod tests {
             prefetch: true,
             ddr4: false,
             validate: false,
-            hammer: Some(("double".into(), 1000)),
+            hammer: None,
             chaos: None,
-            sample: Some(crate::sampling::SamplePlan::default_profile()),
+            sample: None,
         };
-        let spec = runner_spec(&job, job.scale(), 2);
-        let doc = Json::parse(&spec).unwrap();
-        assert_eq!(doc.get("v").unwrap().as_u64(), Some(1));
-        assert_eq!(doc.get("attempt").unwrap().as_u64(), Some(2));
-        assert_eq!(doc.get("insts").unwrap().as_u64(), Some(50_000));
-        let back = SimJob::from_json(doc.get("job").unwrap()).unwrap();
-        assert_eq!(back, job);
+        tweak(&mut job);
+        job
+    }
+
+    #[test]
+    fn runner_spec_roundtrips_through_the_child_parser() {
+        let sample = Some(crate::sampling::SamplePlan::default_profile());
+        let jobs = [
+            job(|_| {}),
+            // DDR4 jobs carry no density (the strict parser rejects one).
+            job(|j| (j.ddr4, j.density) = (true, 8)),
+            job(|j| j.hammer = Some(("double".into(), 1000))),
+            job(|j| j.chaos = Some("crash-first".into())),
+            job(|j| j.sample = sample),
+            job(|j| {
+                (j.ddr4, j.density, j.validate, j.prefetch) = (true, 8, true, false);
+                j.hammer = Some(("many-4".into(), 70_000));
+                j.sample = sample;
+                j.seed = u64::MAX;
+            }),
+        ];
+        for job in jobs {
+            let degraded = Scale {
+                insts: job.insts / 2,
+                ..job.scale()
+            };
+            let spec = runner_spec(&job, degraded, 2);
+            let (attempt, scale, back) = parse_spec(&spec).unwrap();
+            assert_eq!((attempt, scale), (2, degraded));
+            assert_eq!(back, job);
+            // The embedded job is a wire-format request, optionals left out.
+            let doc = Json::parse(&spec).unwrap();
+            let wire = doc.get("job").unwrap();
+            assert_eq!(wire.get("op").unwrap().as_str(), Some("sim"));
+            assert_eq!(wire.get("density").is_some(), !job.ddr4);
+            assert_eq!(wire.get("hammer_pattern").is_some(), job.hammer.is_some());
+            assert_eq!(wire.get("chaos").is_some(), job.chaos.is_some());
+            assert_eq!(wire.get("sample_ff").is_some(), job.sample.is_some());
+        }
+        let empty_job = "{\"v\":1,\"attempt\":0,\"insts\":1,\"warmup\":0,\"job\":{}}";
+        assert!(parse_spec(empty_job).unwrap_err().contains("bad job"));
+        assert!(parse_spec("{\"v\":2}").unwrap_err().contains("version"));
     }
 }

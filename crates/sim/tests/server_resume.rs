@@ -136,6 +136,33 @@ fn duplicates_and_restart_simulate_zero_cycles() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A journal, its requests and the cached replies, all written by an
+/// earlier build of the service: a server over that journal answers
+/// every request from it byte for byte and re-runs nothing.
+#[test]
+fn earlier_build_journal_answers_byte_identically() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/serve");
+    let read = |f: &str| std::fs::read_to_string(fixture.join(f)).expect("fixture file");
+    let dir = temp_dir("fixture");
+    std::fs::write(dir.join("serve.jsonl"), read("serve.jsonl")).unwrap();
+    let server = Server::new(serve_cfg(&dir)).unwrap();
+    let (reply, rx) = Reply::pair();
+    let mut rx = Terminals::new(rx);
+    for line in read("requests.jsonl").lines() {
+        server.handle_line(line, &reply);
+    }
+    let replies = read("replies.jsonl");
+    for want in replies.lines() {
+        let doc = Json::parse(want).unwrap();
+        let id = doc.get("id").and_then(Json::as_str).unwrap();
+        assert_eq!(rx.wait(id).render(), want, "reply to {id}");
+    }
+    assert_eq!(stat(&server, "jobs_run"), 0, "nothing re-ran");
+    assert_eq!(stat(&server, "cache_hits"), replies.lines().count() as u64);
+    server.drain();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn concurrent_duplicates_share_one_run() {
     let dir = temp_dir("inflight");

@@ -51,8 +51,6 @@ fn process_cfg(dir: &Path) -> ServeConfig {
     cfg.job_timeout = Some(Duration::from_secs(120));
     cfg.supervise.isolation = IsolationMode::Process;
     cfg.supervise.runner_exe = Some(runner_exe());
-    cfg.supervise.backoff_base = Duration::from_millis(5);
-    cfg.supervise.backoff_cap = Duration::from_millis(20);
     cfg.allow_chaos = true;
     cfg
 }

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== line count of crates/sim/src (tracked in ROADMAP.md) =="
+./scripts/loc.sh
+
+echo "== the benchmark compiles against the library API =="
+cargo check --manifest-path crowbench/Cargo.toml
+
 echo "== cargo test -q =="
 cargo test --workspace -q
 
