@@ -1,9 +1,8 @@
 //! Simulation-speed benchmark: runs the same workloads under the naive
 //! stepper, the event-driven engine with the linear-scan scheduler
 //! (the previous generation), the event-driven engine with the indexed
-//! scheduler, and — on the multi-channel cases — the sharded parallel
-//! engine, reporting simulated CPU cycles per wall-clock second and
-//! writing `BENCH_simspeed.json`.
+//! scheduler, and an interval-sampled run, reporting simulated CPU
+//! cycles per wall-clock second and writing `BENCH_simspeed.json`.
 //!
 //! ```sh
 //! cargo run -p crow-bench --release --bin simspeed
@@ -20,22 +19,16 @@ struct Case {
     mechanism: Mechanism,
     /// Memory channels (1 = the single-channel quick-test platform).
     channels: u32,
-    /// Shard worker threads for the parallel measurement (1 = skip it:
-    /// the sharded engine only engages on multi-channel systems).
-    threads: u32,
 }
 
 struct Row {
     label: String,
-    threads: u32,
     naive_cps: f64,
     linear_cps: f64,
     event_cps: f64,
-    par_cps: f64,
     naive_wall: f64,
     linear_wall: f64,
     event_wall: f64,
-    par_wall: f64,
     cycles: u64,
     /// Effective simulated-cycle throughput of an interval-sampled run:
     /// the cycles the full run simulates divided by the sampled wall.
@@ -49,8 +42,6 @@ struct Row {
 /// cycle-by-cycle stepper, the event-driven engine with the linear-scan
 /// scheduler (the previous fast path, kept as the reference), and the
 /// event-driven engine with the indexed scheduler (the current default).
-/// Multi-channel cases additionally time the event/indexed combination
-/// under `threads` shard workers.
 const CONFIGS: [(Engine, SchedImpl); 3] = [
     (Engine::Naive, SchedImpl::Indexed),
     (Engine::EventDriven, SchedImpl::Linear),
@@ -61,7 +52,6 @@ fn measure_once(
     case: &Case,
     engine: Engine,
     sched_impl: SchedImpl,
-    threads: u32,
     max_cycles: u64,
 ) -> (f64, f64, u64) {
     let app = AppProfile::by_name(case.app).unwrap();
@@ -70,7 +60,6 @@ fn measure_once(
     cfg.cpu.target_insts = 200_000;
     cfg.engine = engine;
     cfg.mc.sched_impl = sched_impl;
-    cfg.threads = threads;
     let mut sys = System::new(cfg, &[app]);
     let r = sys.run(max_cycles);
     (r.sim_cycles_per_sec, r.wall_seconds, r.cpu_cycles)
@@ -83,13 +72,12 @@ fn measure(
     case: &Case,
     engine: Engine,
     sched_impl: SchedImpl,
-    threads: u32,
     max_cycles: u64,
     reps: u32,
 ) -> (f64, f64, u64) {
     let mut best = (0.0f64, f64::INFINITY, 0u64);
     for _ in 0..reps {
-        let r = measure_once(case, engine, sched_impl, threads, max_cycles);
+        let r = measure_once(case, engine, sched_impl, max_cycles);
         if r.0 > best.0 {
             best = r;
         }
@@ -147,49 +135,41 @@ fn main() {
             app: "povray", // low MPKI: long mechanical bubble streams
             mechanism: Mechanism::Baseline,
             channels: 1,
-            threads: 1,
         },
         Case {
             app: "povray",
             mechanism: Mechanism::crow_cache(8),
             channels: 1,
-            threads: 1,
         },
         Case {
             app: "mcf", // high MPKI: the engine must not lose ground
             mechanism: Mechanism::Baseline,
             channels: 1,
-            threads: 1,
         },
         Case {
             app: "mcf",
             mechanism: Mechanism::crow_cache(8),
             channels: 1,
-            threads: 1,
         },
         Case {
             app: "omnetpp", // mcf-like pointer chasing: dense queues
             mechanism: Mechanism::Baseline,
             channels: 1,
-            threads: 1,
         },
         Case {
             app: "random", // synthetic random-access stress: worst-case locality
             mechanism: Mechanism::Baseline,
             channels: 1,
-            threads: 1,
         },
         Case {
             app: "mcf", // memory-bound on the 4-channel paper platform
             mechanism: Mechanism::Baseline,
             channels: 4,
-            threads: 4,
         },
         Case {
-            app: "random", // 4-channel stress: every shard's queues churn
+            app: "random", // 4-channel stress: every channel's queues churn
             mechanism: Mechanism::crow_cache(8),
             channels: 4,
-            threads: 4,
         },
     ];
     let max_cycles = 50_000_000;
@@ -199,14 +179,14 @@ fn main() {
         // Warm up the page cache / branch predictors with a short run of
         // each configuration before timing.
         for (engine, sched_impl) in CONFIGS {
-            measure(case, engine, sched_impl, 1, 100_000, 1);
+            measure(case, engine, sched_impl, 100_000, 1);
         }
         let (naive_cps, naive_wall, cycles) =
-            measure(case, CONFIGS[0].0, CONFIGS[0].1, 1, max_cycles, 3);
+            measure(case, CONFIGS[0].0, CONFIGS[0].1, max_cycles, 3);
         let (linear_cps, linear_wall, ln_cycles) =
-            measure(case, CONFIGS[1].0, CONFIGS[1].1, 1, max_cycles, 3);
+            measure(case, CONFIGS[1].0, CONFIGS[1].1, max_cycles, 3);
         let (event_cps, event_wall, ev_cycles) =
-            measure(case, CONFIGS[2].0, CONFIGS[2].1, 1, max_cycles, 3);
+            measure(case, CONFIGS[2].0, CONFIGS[2].1, max_cycles, 3);
         assert_eq!(
             cycles, ln_cycles,
             "configurations simulated different spans"
@@ -215,24 +195,6 @@ fn main() {
             cycles, ev_cycles,
             "configurations simulated different spans"
         );
-        // The sharded engine, timed on the event/indexed configuration
-        // it shares every report bit with (single-channel cases run the
-        // identical serial path, so reuse the serial numbers).
-        let (par_cps, par_wall) = if case.threads > 1 {
-            measure(case, CONFIGS[2].0, CONFIGS[2].1, case.threads, 100_000, 1);
-            let (cps, wall, par_cycles) = measure(
-                case,
-                CONFIGS[2].0,
-                CONFIGS[2].1,
-                case.threads,
-                max_cycles,
-                3,
-            );
-            assert_eq!(cycles, par_cycles, "sharded run simulated a different span");
-            (cps, wall)
-        } else {
-            (event_cps, event_wall)
-        };
         let (sampled_cps, sampled_wall, sampled_err_pct) = measure_sampled(case, 2);
         rows.push(Row {
             label: format!(
@@ -241,15 +203,12 @@ fn main() {
                 case.mechanism.label(),
                 case.channels
             ),
-            threads: case.threads,
             naive_cps,
             linear_cps,
             event_cps,
-            par_cps,
             naive_wall,
             linear_wall,
             event_wall,
-            par_wall,
             cycles,
             sampled_cps,
             sampled_wall,
@@ -258,26 +217,16 @@ fn main() {
     }
 
     println!(
-        "{:<28} {:>7} {:>14} {:>14} {:>14} {:>14} {:>8} {:>14} {:>8}",
-        "case",
-        "threads",
-        "naive cyc/s",
-        "linear cyc/s",
-        "event cyc/s",
-        "par cyc/s",
-        "speedup",
-        "sampled cyc/s",
-        "ipc err"
+        "{:<28} {:>14} {:>14} {:>14} {:>8} {:>14} {:>8}",
+        "case", "naive cyc/s", "linear cyc/s", "event cyc/s", "speedup", "sampled cyc/s", "ipc err"
     );
     for r in &rows {
         println!(
-            "{:<28} {:>7} {:>14.3e} {:>14.3e} {:>14.3e} {:>14.3e} {:>7.2}x {:>14.3e} {:>7.2}%",
+            "{:<28} {:>14.3e} {:>14.3e} {:>14.3e} {:>7.2}x {:>14.3e} {:>7.2}%",
             r.label,
-            r.threads,
             r.naive_cps,
             r.linear_cps,
             r.event_cps,
-            r.par_cps,
             r.event_cps / r.naive_cps,
             r.sampled_cps,
             r.sampled_err_pct
@@ -288,27 +237,23 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"case\": \"{}\", \"threads\": {}, \"cpu_cycles\": {}, \
+            "    {{\"case\": \"{}\", \"cpu_cycles\": {}, \
              \"naive_cycles_per_sec\": {:.1}, \"linear_cycles_per_sec\": {:.1}, \
-             \"event_cycles_per_sec\": {:.1}, \"par_cycles_per_sec\": {:.1}, \
+             \"event_cycles_per_sec\": {:.1}, \
              \"naive_wall_seconds\": {:.4}, \"linear_wall_seconds\": {:.4}, \
-             \"event_wall_seconds\": {:.4}, \"par_wall_seconds\": {:.4}, \
-             \"speedup\": {:.3}, \"par_speedup\": {:.3}, \
+             \"event_wall_seconds\": {:.4}, \
+             \"speedup\": {:.3}, \
              \"sampled_cycles_per_sec\": {:.1}, \"sampled_wall_seconds\": {:.4}, \
              \"sampled_ipc_err_pct\": {:.3}}}{}",
             r.label,
-            r.threads,
             r.cycles,
             r.naive_cps,
             r.linear_cps,
             r.event_cps,
-            r.par_cps,
             r.naive_wall,
             r.linear_wall,
             r.event_wall,
-            r.par_wall,
             r.event_cps / r.naive_cps,
-            r.par_cps / r.event_cps,
             r.sampled_cps,
             r.sampled_wall,
             r.sampled_err_pct,
@@ -317,9 +262,7 @@ fn main() {
     }
     json.push_str(
         "  ],\n  \"notes\": {\n\
-         \x20   \"sampled\": \"sampled columns compare the event/indexed configuration full vs interval-sampled (default 20000:10000:170000 plan) at 2M insts/core; sampled_cycles_per_sec is full-run simulated cycles over sampled wall; the 2% IPC-accuracy contract is asserted by sampling_gate on the 4-channel paper platform — the single-channel quick_test platform timed here drifts slightly further (povray ~3%, CROW-8/random ~7% long-FF restore drift)\",\n\
-         \x20   \"expected_par_speedup\": 0.3,\n\
-         \x20   \"expected_par_speedup_note\": \"the 4-thread sharded engine regresses to ~0.3x on this single-core-throttled host; a par_speedup near 0.3 is the documented host artifact, not a new regression\"\n\
+         \x20   \"sampled\": \"sampled columns compare the event/indexed configuration full vs interval-sampled (default 20000:10000:170000 plan) at 2M insts/core; sampled_cycles_per_sec is full-run simulated cycles over sampled wall; the 2% IPC-accuracy contract is asserted by sampling_gate on the 4-channel paper platform — the single-channel quick_test platform timed here drifts slightly further (povray ~3%, CROW-8/random ~7% long-FF restore drift)\"\n\
          \x20 }\n}\n",
     );
     std::fs::write("BENCH_simspeed.json", &json).expect("write BENCH_simspeed.json");

@@ -82,11 +82,8 @@ fn usage() -> ! {
          \x20    functional fast-forward and detailed measured windows.\n\
          \x20    SPEC is `default` or `WINDOW:WARMUP:FF` (instructions per\n\
          \x20    core); per-metric means and 95% confidence intervals land\n\
-         \x20    in the report. Overrides CROW_SAMPLE env\n\
-         \n\
-         env: CROW_THREADS=N runs one shard worker per channel group\n\
-         \x20    (bit-identical reports); CROW_CHECKPOINTS=1 caches warmed\n\
-         \x20    architectural state under results/checkpoints/"
+         \x20    in the report. Overrides CROW_SAMPLE env. Cannot be\n\
+         \x20    combined with --hammer or --faults"
     );
     std::process::exit(2);
 }
@@ -219,13 +216,7 @@ fn parse_mechanism(s: &str) -> Mechanism {
 /// budget, and journaled under `results/campaign/simulate.jsonl` so
 /// `--resume` restores the result instead of re-running. Returns the
 /// report and whether it was restored from the journal.
-fn run_supervised<F>(
-    args: &Args,
-    scale: Scale,
-    names: Vec<String>,
-    cfg: SystemConfig,
-    build: F,
-) -> (SimReport, bool)
+fn run_supervised<F>(args: &Args, scale: Scale, cfg: SystemConfig, build: F) -> (SimReport, bool)
 where
     F: Fn(SystemConfig) -> Result<System, crow_sim::CrowError> + Send + Sync + 'static,
 {
@@ -292,24 +283,10 @@ where
     let outcomes = camp.run(vec![(job_fp, cfg)], move |cfg, scale| {
         let mut cfg = cfg.clone();
         cfg.cpu.target_insts = scale.insts;
-        cfg.threads = scale.threads;
         cfg.sample = scale.sample;
-        let mut sys = build(cfg.clone())?;
+        let mut sys = build(cfg)?;
         if scale.warmup > 0 {
-            if scale.checkpoints {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                let out = crow_sim::warm_via_cache(
-                    &mut sys,
-                    || build(cfg).expect("a system that built once builds again"),
-                    &refs,
-                    scale.warmup,
-                );
-                if let Some(e) = out.error {
-                    eprintln!("warning: {e} (ran a cold warmup instead)");
-                }
-            } else {
-                sys.warm(scale.warmup);
-            }
+            sys.warm(scale.warmup);
         }
         let r = sys.run_checked(u64::MAX)?;
         if oracle {
@@ -348,9 +325,10 @@ where
 
 fn main() {
     let args = parse_args();
-    // `CROW_THREADS`/`CROW_CHECKPOINTS` ride the environment scale; the
-    // CLI flags keep owning the per-run knobs (insts, warmup). Malformed
-    // env is a diagnostic exit, never a silent default.
+    // The CLI flags own the per-run knobs (insts, warmup); the
+    // environment scale supplies CROW_SAMPLE and rejects the knobs of
+    // removed mechanisms. Malformed env is a diagnostic exit, never a
+    // silent default.
     let env_scale = Scale::from_env().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -369,8 +347,8 @@ fn main() {
         warmup: args.warmup,
         mixes_per_group: 1,
         max_cycles: u64::MAX,
-        threads: env_scale.threads,
-        checkpoints: env_scale.checkpoints,
+        threads: 1,
+        checkpoints: false,
         sample,
     };
     let mech = parse_mechanism(&args.mechanism);
@@ -383,7 +361,6 @@ fn main() {
     cfg.channels = args.channels;
     cfg.seed = args.seed;
     cfg.cpu.target_insts = args.insts;
-    cfg.threads = scale.threads;
     cfg.sample = scale.sample;
     cfg.mc.per_bank_refresh = args.per_bank_refresh;
     cfg.oracle = args.oracle;
@@ -468,27 +445,14 @@ fn main() {
     let supervised = args.timeout.is_some() || args.retries.is_some() || args.resume;
     let start = std::time::Instant::now();
     let (r, restored) = if supervised {
-        run_supervised(&args, scale, names.clone(), cfg, build)
+        run_supervised(&args, scale, cfg, build)
     } else {
         let mut sys = build(cfg.clone()).unwrap_or_else(|e| {
             eprintln!("simulate: {e}");
             std::process::exit(1);
         });
         if args.warmup > 0 {
-            if scale.checkpoints {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                let out = crow_sim::warm_via_cache(
-                    &mut sys,
-                    || build(cfg).expect("a system that built once builds again"),
-                    &refs,
-                    args.warmup,
-                );
-                if let Some(e) = out.error {
-                    eprintln!("warning: {e} (ran a cold warmup instead)");
-                }
-            } else {
-                sys.warm(args.warmup);
-            }
+            sys.warm(args.warmup);
         }
         let r = sys.run_checked(u64::MAX).unwrap_or_else(|e| {
             eprintln!("simulate: {e}");

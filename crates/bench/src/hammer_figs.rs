@@ -113,6 +113,12 @@ fn tolerated(flips_by_intensity: &[(u64, u64)]) -> String {
 /// Figure: flips and slowdown vs intensity per mitigation, one table
 /// per aggressor pattern, plus the tolerated-intensity summary.
 pub fn hammer(scale: Scale) -> String {
+    // Attack scenarios cannot be sampled (the fast-forward would skip
+    // the aggressor injections), so this figure always runs in detail.
+    let scale = Scale {
+        sample: None,
+        ..scale
+    };
     let app = AppProfile::by_name("mcf").expect("mcf profile exists");
     let mechs = mitigations();
     let mut camp = FigCampaign::new("hammer", scale);

@@ -125,9 +125,6 @@ pub fn failed_report() -> SimReport {
 pub struct FigCampaign {
     camp: Campaign,
     sched: SchedStats,
-    /// Checkpoint counters at campaign open, so the summary reports the
-    /// delta attributable to this campaign alone.
-    ckpt_base: crow_sim::CheckpointStats,
     /// Sampling aggregate over this campaign's sampled reports:
     /// (reports, windows, mean relative IPC CI half-width numerator).
     /// Zero reports means the campaign ran full-detail and the summary
@@ -164,7 +161,6 @@ impl FigCampaign {
         Self {
             camp,
             sched: SchedStats::new(),
-            ckpt_base: crow_sim::checkpoint::stats(),
             sampled: (0, 0, 0.0),
         }
     }
@@ -231,12 +227,6 @@ impl FigCampaign {
                         ("rebuilds".into(), Json::u64(s.rebuilds)),
                         ("wakeup_skips".into(), Json::u64(s.wakeup_skips)),
                     ]),
-                ),
-                (
-                    "checkpoints".into(),
-                    crow_sim::checkpoint::stats()
-                        .since(&self.ckpt_base)
-                        .to_json(),
                 ),
             ]);
             // Sampled campaigns additionally record how much statistical

@@ -197,66 +197,6 @@ impl Llc {
         self.install(pa, false)
     }
 
-    /// Serializes the cache contents (valid lines with way positions and
-    /// LRU stamps, plus the access counters) as opaque words.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let mut lines = Vec::new();
-        for (set, ways) in self.sets.iter().enumerate() {
-            for (way, l) in ways.iter().take(self.ways).enumerate() {
-                if l.valid {
-                    lines.push((set as u64, way as u64, l.tag, u64::from(l.dirty), l.lru));
-                }
-            }
-        }
-        let mut w = vec![
-            self.sets.len() as u64,
-            self.ways as u64,
-            self.tick,
-            self.hits,
-            self.misses,
-            lines.len() as u64,
-        ];
-        for (set, way, tag, dirty, lru) in lines {
-            w.extend_from_slice(&[set, way, tag, dirty, lru]);
-        }
-        w
-    }
-
-    /// Restores contents captured by [`Llc::snapshot_words`] into a
-    /// cache of identical geometry. Returns `false` (leaving the cache
-    /// untouched) on malformed or mismatched words.
-    pub fn restore_words(&mut self, words: &[u64]) -> bool {
-        if words.len() < 6 || words[0] != self.sets.len() as u64 || words[1] != self.ways as u64 {
-            return false;
-        }
-        let n = words[5] as usize;
-        if words.len() != 6 + 5 * n {
-            return false;
-        }
-        let mut sets = vec![[Line::default(); 16]; self.sets.len()];
-        for rec in words[6..].chunks_exact(5) {
-            let (set, way, dirty) = (rec[0] as usize, rec[1] as usize, rec[3]);
-            if set >= sets.len() || way >= self.ways || dirty > 1 {
-                return false;
-            }
-            let slot = &mut sets[set][way];
-            if slot.valid {
-                return false; // duplicate (set, way)
-            }
-            *slot = Line {
-                tag: rec[2],
-                valid: true,
-                dirty: dirty == 1,
-                lru: rec[4],
-            };
-        }
-        self.sets = sets;
-        self.tick = words[2];
-        self.hits = words[3];
-        self.misses = words[4];
-        true
-    }
-
     fn install(&mut self, pa: u64, dirty: bool) -> Option<u64> {
         let (set, tag) = self.index(pa);
         self.tick += 1;

@@ -234,11 +234,6 @@ impl CpuCluster {
         }
     }
 
-    /// Writebacks queued but not yet accepted by the memory system.
-    pub fn pending_writebacks_len(&self) -> usize {
-        self.pending_writebacks.len()
-    }
-
     /// Freezes (or thaws) instruction fetch on every core. While frozen,
     /// [`CpuCluster::cycle`] only retires in-flight window slots and
     /// retries queued writebacks — no trace refill, no dispatch, no
@@ -272,91 +267,6 @@ impl CpuCluster {
     /// The cycle `core` hit its current phase target, if it has.
     pub fn finish_cycle(&self, core: usize) -> Option<CpuCycle> {
         self.cores[core].finish_cycle()
-    }
-
-    /// Total MSHR slots currently free across all cores: an upper bound
-    /// on the demand/prefetch reads a single [`CpuCluster::cycle`] call
-    /// can send.
-    pub fn mshr_headroom(&self) -> u64 {
-        self.mshr_used
-            .iter()
-            .map(|&u| u64::from(self.cfg.mshrs.saturating_sub(u)))
-            .sum()
-    }
-
-    /// Serializes the post-warmup architectural state (cores, page
-    /// tables, shared LLC) as opaque words. Only a *quiescent* cluster
-    /// checkpoints — no outstanding fills, no queued writebacks, no
-    /// allocated request ids — which is exactly the state
-    /// [`CpuCluster::warm`] leaves behind. Returns `None` when any
-    /// component cannot checkpoint (e.g. a non-snapshotting trace
-    /// source).
-    pub fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        if !self.outstanding.is_empty()
-            || !self.req_lines.is_empty()
-            || !self.pending_writebacks.is_empty()
-            || self.next_req != 0
-            || self.mshr_used.iter().any(|&u| u != 0)
-        {
-            return None;
-        }
-        let mut w = vec![self.cores.len() as u64];
-        for i in 0..self.cores.len() {
-            let core = self.cores[i].snapshot_words()?;
-            w.push(core.len() as u64);
-            w.extend_from_slice(&core);
-            let pages = self.pages[i].snapshot_words();
-            w.push(pages.len() as u64);
-            w.extend_from_slice(&pages);
-        }
-        let llc = self.llc.snapshot_words();
-        w.push(llc.len() as u64);
-        w.extend_from_slice(&llc);
-        Some(w)
-    }
-
-    /// Restores state captured by [`CpuCluster::checkpoint_words`] into
-    /// a freshly built cluster of identical configuration. Returns
-    /// `false` on malformed or mismatched words; the cluster may then be
-    /// partially restored and the caller must rebuild it and warm cold.
-    pub fn restore_checkpoint_words(&mut self, words: &[u64]) -> bool {
-        fn take<'a>(it: &mut &'a [u64], n: usize) -> Option<&'a [u64]> {
-            if it.len() < n {
-                return None;
-            }
-            let (head, rest) = it.split_at(n);
-            *it = rest;
-            Some(head)
-        }
-        fn take_framed<'a>(it: &mut &'a [u64]) -> Option<&'a [u64]> {
-            let len = *take(it, 1)?.first()?;
-            take(it, len as usize)
-        }
-        let mut it = words;
-        let Some(&[ncores]) = take(&mut it, 1) else {
-            return false;
-        };
-        if ncores != self.cores.len() as u64 {
-            return false;
-        }
-        for i in 0..self.cores.len() {
-            let Some(core) = take_framed(&mut it) else {
-                return false;
-            };
-            if !self.cores[i].restore_words(core) {
-                return false;
-            }
-            let Some(pages) = take_framed(&mut it) else {
-                return false;
-            };
-            if !self.pages[i].restore_words(pages) {
-                return false;
-            }
-        }
-        let Some(llc) = take_framed(&mut it) else {
-            return false;
-        };
-        it.is_empty() && self.llc.restore_words(llc)
     }
 
     /// Advances every core by one CPU cycle.

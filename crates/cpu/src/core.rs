@@ -329,66 +329,6 @@ impl Core {
         self.next_seq += pushes;
     }
 
-    /// Serializes the post-warmup architectural state (record cursor and
-    /// trace-generator state) as opaque words. Only a *quiescent* core
-    /// checkpoints: empty window, no fault, measurement reset. Returns
-    /// `None` when the core or its trace source cannot checkpoint.
-    pub fn snapshot_words(&self) -> Option<Vec<u64>> {
-        if !self.window.is_empty()
-            || self.trace_fault.is_some()
-            || self.finish_cycle.is_some()
-            || self.retired != 0
-        {
-            return None;
-        }
-        let trace = self.trace.snapshot_words()?;
-        let (acc_kind, vaddr) = match self.pending_access {
-            None => (0u64, 0u64),
-            Some(a) => (if a.is_write { 2 } else { 1 }, a.vaddr),
-        };
-        let mut w = vec![
-            u64::from(self.pending_bubbles),
-            acc_kind,
-            vaddr,
-            self.next_seq,
-            trace.len() as u64,
-        ];
-        w.extend_from_slice(&trace);
-        Some(w)
-    }
-
-    /// Restores state captured by [`Core::snapshot_words`] into a
-    /// freshly built core over the same trace configuration. Returns
-    /// `false` (leaving the core cold but usable) on malformed words.
-    pub fn restore_words(&mut self, words: &[u64]) -> bool {
-        if words.len() < 5 {
-            return false;
-        }
-        let trace_len = words[4] as usize;
-        if words.len() != 5 + trace_len || words[0] > u64::from(u32::MAX) {
-            return false;
-        }
-        let access = match words[1] {
-            0 => None,
-            1 => Some(crate::trace::MemAccess {
-                vaddr: words[2],
-                is_write: false,
-            }),
-            2 => Some(crate::trace::MemAccess {
-                vaddr: words[2],
-                is_write: true,
-            }),
-            _ => return false,
-        };
-        if !self.trace.restore_words(&words[5..]) {
-            return false;
-        }
-        self.pending_bubbles = words[0] as u32;
-        self.pending_access = access;
-        self.next_seq = words[3];
-        true
-    }
-
     /// Zeroes retirement statistics (used after functional warmup so the
     /// measured window starts clean).
     pub fn reset_measurement(&mut self) {

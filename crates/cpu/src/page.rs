@@ -67,47 +67,6 @@ impl PageTable {
     pub fn mapped_pages(&self) -> usize {
         self.map.len()
     }
-
-    /// Serializes the table (RNG stream plus the vpage→frame map, in
-    /// sorted order so the encoding is canonical) as opaque words.
-    pub fn snapshot_words(&self) -> Vec<u64> {
-        let s = self.rng.state();
-        let mut pairs: Vec<(u64, u64)> = self.map.iter().map(|(&v, &f)| (v, f)).collect();
-        pairs.sort_unstable();
-        let mut w = vec![s[0], s[1], s[2], s[3], self.frames, pairs.len() as u64];
-        for (v, f) in pairs {
-            w.push(v);
-            w.push(f);
-        }
-        w
-    }
-
-    /// Restores state captured by [`PageTable::snapshot_words`] into a
-    /// table built over the same capacity. Returns `false` (leaving the
-    /// table untouched) on malformed or mismatched words.
-    pub fn restore_words(&mut self, words: &[u64]) -> bool {
-        if words.len() < 6 || words[4] != self.frames {
-            return false;
-        }
-        let n = words[5] as usize;
-        if words.len() != 6 + 2 * n || n as u64 > self.frames {
-            return false;
-        }
-        let mut map = HashMap::with_capacity(n);
-        let mut used = HashSet::with_capacity(n);
-        for pair in words[6..].chunks_exact(2) {
-            if pair[1] >= self.frames || !used.insert(pair[1]) {
-                return false;
-            }
-            if map.insert(pair[0], pair[1]).is_some() {
-                return false;
-            }
-        }
-        self.rng = StdRng::from_state([words[0], words[1], words[2], words[3]]);
-        self.map = map;
-        self.used = used;
-        true
-    }
 }
 
 #[cfg(test)]

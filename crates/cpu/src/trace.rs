@@ -107,17 +107,14 @@ pub trait TraceSource: Send {
         Ok(self.next_entry())
     }
 
-    /// Serializes the source's cursor/generator state as opaque words
-    /// for architectural checkpoints. `None` (the default) means the
-    /// source is not checkpointable and callers must fall back to a
-    /// cold warmup.
+    /// Inert: nothing calls it since warm checkpoints were removed.
+    /// Kept only because `crowbench`'s trace wrapper overrides it.
     fn snapshot_words(&self) -> Option<Vec<u64>> {
         None
     }
 
-    /// Restores state captured by [`TraceSource::snapshot_words`].
-    /// Returns `false` (the default, and on malformed words) when the
-    /// source cannot restore; the source is left usable either way.
+    /// Inert: nothing calls it since warm checkpoints were removed.
+    /// Kept only because `crowbench`'s trace wrapper overrides it.
     fn restore_words(&mut self, _words: &[u64]) -> bool {
         false
     }
@@ -161,23 +158,6 @@ impl TraceSource for LoopedTrace {
         let e = self.entries[self.pos];
         self.pos = (self.pos + 1) % self.entries.len();
         e
-    }
-
-    fn snapshot_words(&self) -> Option<Vec<u64>> {
-        // The recording itself is reconstructed by the caller; only the
-        // cursor (and the length, as a consistency check) is state.
-        Some(vec![self.entries.len() as u64, self.pos as u64])
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> bool {
-        let [len, pos] = words else {
-            return false;
-        };
-        if *len != self.entries.len() as u64 || *pos >= *len {
-            return false;
-        }
-        self.pos = *pos as usize;
-        true
     }
 }
 

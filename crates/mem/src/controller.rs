@@ -416,21 +416,6 @@ impl MemController {
             + self.neighbor_ops.len()
     }
 
-    /// In-flight read completions and the cycles they come due.
-    pub fn inflight(&self) -> &[(Cycle, Completion)] {
-        &self.inflight
-    }
-
-    /// Requests currently occupying the read queue.
-    pub fn read_q_len(&self) -> usize {
-        self.read_q.len()
-    }
-
-    /// Requests currently occupying the write queue.
-    pub fn write_q_len(&self) -> usize {
-        self.write_q.len()
-    }
-
     /// Whether the read queue can accept a request.
     pub fn can_accept_read(&self) -> bool {
         self.read_q.len() < self.cfg.read_q

@@ -162,20 +162,6 @@ pub mod rngs {
         }
     }
 
-    impl StdRng {
-        /// The raw xoshiro256++ state, for checkpointing. Restoring it
-        /// with [`StdRng::from_state`] resumes the stream exactly.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds a generator from a state captured by
-        /// [`StdRng::state`].
-        pub fn from_state(s: [u64; 4]) -> Self {
-            Self { s }
-        }
-    }
-
     impl RngCore for StdRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {

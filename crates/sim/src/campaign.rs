@@ -324,10 +324,9 @@ impl Journaled for String {
     }
 }
 
-/// Race-safe directory creation for result trees (`results/campaign/`,
-/// `results/checkpoints/`): concurrent server jobs, campaign workers,
-/// and whole processes may all try to create the same directory on
-/// their first write. `std::fs::create_dir_all` walks components with a
+/// Race-safe directory creation for result trees (`results/campaign/`):
+/// concurrent server jobs, campaign workers, and whole processes may
+/// all try to create the same directory on their first write. `std::fs::create_dir_all` walks components with a
 /// check-then-create step, so a loser of that race can surface
 /// `AlreadyExists` (or a transient `NotFound` on some filesystems when
 /// a sibling renames intermediates). This helper treats "somebody else

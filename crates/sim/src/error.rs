@@ -33,15 +33,6 @@ pub enum CrowError {
         /// What went wrong (I/O error text or format diagnosis).
         reason: String,
     },
-    /// A warm-architectural-state checkpoint could not be used (corrupt,
-    /// truncated, or mismatched). The run falls back to a cold warmup;
-    /// this error records why.
-    Checkpoint {
-        /// The checkpoint file involved.
-        path: String,
-        /// What went wrong (I/O error text or format diagnosis).
-        reason: String,
-    },
     /// A simulation-service request failed strict validation (malformed
     /// JSON, unknown or duplicate keys, out-of-range values). The server
     /// answers with a structured error response; it never panics and
@@ -86,9 +77,6 @@ impl std::fmt::Display for CrowError {
             CrowError::Journal { path, reason } => {
                 write!(f, "campaign journal {path}: {reason}")
             }
-            CrowError::Checkpoint { path, reason } => {
-                write!(f, "checkpoint {path}: {reason}")
-            }
             CrowError::Request { reason } => {
                 write!(f, "bad request: {reason}")
             }
@@ -120,7 +108,6 @@ impl std::error::Error for CrowError {
             CrowError::Trace(e) => Some(e),
             CrowError::Protocol { .. }
             | CrowError::Journal { .. }
-            | CrowError::Checkpoint { .. }
             | CrowError::Request { .. }
             | CrowError::Quarantined { .. }
             | CrowError::ResourceLimit { .. } => None,

@@ -13,13 +13,13 @@ use crate::system::System;
 /// * `CROW_INSTS` — instructions per core (default 400 000);
 /// * `CROW_WARMUP` — functional warmup instructions (default 50 000);
 /// * `CROW_MIXES` — mixes per four-core group (default 3, paper uses 20);
-/// * `CROW_THREADS` — shard worker threads per simulation (default 1,
-///   the serial engine; reports are bit-identical at any value);
-/// * `CROW_CHECKPOINTS` — a boolean; on caches post-warmup
-///   architectural state under `results/checkpoints/` (default off);
 /// * `CROW_SAMPLE` (+ `CROW_SAMPLE_WINDOW`/`_WARMUP`/`_FF`) — interval
 ///   sampling with per-window confidence intervals (default off); see
 ///   [`crate::sampling::SamplePlan::from_env`].
+///
+/// `CROW_THREADS`, `CROW_CHECKPOINTS` and `CROW_CHECKPOINT_DIR` belonged
+/// to the removed sharded engine and warm checkpoints; setting any of
+/// them is a configuration error.
 ///
 /// The paper simulates 200 M instructions per app; the defaults keep a
 /// full figure regeneration in the minutes range while preserving the
@@ -34,9 +34,11 @@ pub struct Scale {
     pub mixes_per_group: usize,
     /// Hard cap on simulated CPU cycles.
     pub max_cycles: u64,
-    /// Worker threads for the sharded per-channel engine (1 = serial).
+    /// Inert, always 1: the sharded engine was removed. Kept only
+    /// because `crowbench` builds a `Scale` literal; nothing reads it.
     pub threads: u32,
-    /// Whether to reuse warm architectural checkpoints.
+    /// Inert, always `false`: warm checkpoints were removed. Kept only
+    /// because `crowbench` builds a `Scale` literal; nothing reads it.
     pub checkpoints: bool,
     /// Interval-sampling schedule (`None` = full detailed runs); see
     /// [`crate::sampling::SamplePlan`] and the `CROW_SAMPLE*` knobs.
@@ -57,13 +59,22 @@ impl Scale {
     /// parsing is testable without mutating process-global state.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, CrowError> {
         let env = Knobs::new("Scale", &lookup);
+        for (key, removed) in [
+            ("CROW_THREADS", "the sharded engine"),
+            ("CROW_CHECKPOINTS", "the warm-checkpoint cache"),
+            ("CROW_CHECKPOINT_DIR", "the warm-checkpoint cache"),
+        ] {
+            if env.raw(key).is_some() {
+                return Err(env.err(format!("{key} is set, but {removed} was removed; unset it")));
+            }
+        }
         Ok(Self {
             insts: env.uint("CROW_INSTS", 1)?.unwrap_or(400_000),
             warmup: env.uint("CROW_WARMUP", 0)?.unwrap_or(50_000),
             mixes_per_group: env.uint("CROW_MIXES", 0)?.map_or(3, |n| n as usize),
             max_cycles: env.uint("CROW_MAX_CYCLES", 0)?.unwrap_or(2_000_000_000),
-            threads: env.u32("CROW_THREADS", 1)?.unwrap_or(1),
-            checkpoints: env.flag("CROW_CHECKPOINTS")?.unwrap_or(false),
+            threads: 1,
+            checkpoints: false,
             sample: crate::sampling::SamplePlan::from_lookup(&lookup)?,
         })
     }
@@ -83,11 +94,10 @@ impl Scale {
 
     /// A stable text fingerprint of the scale, embedded in campaign
     /// journal fingerprints so changing the scale invalidates journaled
-    /// results instead of silently reusing them. `threads` and
-    /// `checkpoints` are deliberately excluded: they change how fast a
-    /// result is produced, never what it is. A sampling plan *does*
-    /// change what a run reports, so it joins the fingerprint (and full
-    /// runs keep their historical fingerprints).
+    /// results instead of silently reusing them. The inert `threads` and
+    /// `checkpoints` are excluded. A sampling plan changes what a run
+    /// reports, so it joins the fingerprint (and full runs keep their
+    /// historical fingerprints).
     pub fn fingerprint(&self) -> String {
         let mut fp = format!(
             "i{}w{}m{}c{}",
@@ -116,24 +126,10 @@ pub fn run_mix(apps: &[&AppProfile], mechanism: Mechanism, scale: Scale) -> SimR
 /// Runs an explicit configuration (density/LLC/prefetcher sweeps).
 pub fn run_with_config(mut cfg: SystemConfig, apps: &[&AppProfile], scale: Scale) -> SimReport {
     cfg.cpu.target_insts = scale.insts;
-    cfg.threads = scale.threads;
     cfg.sample = scale.sample;
-    let mut sys = System::new(cfg.clone(), apps);
+    let mut sys = System::new(cfg, apps);
     if scale.warmup > 0 {
-        if scale.checkpoints {
-            let names: Vec<&str> = apps.iter().map(|a| a.name).collect();
-            let outcome = crate::checkpoint::warm_via_cache(
-                &mut sys,
-                || System::new(cfg, apps),
-                &names,
-                scale.warmup,
-            );
-            if let Some(e) = outcome.error {
-                eprintln!("warning: {e} (ran a cold warmup instead)");
-            }
-        } else {
-            sys.warm(scale.warmup);
-        }
+        sys.warm(scale.warmup);
     }
     sys.run(scale.max_cycles)
 }
@@ -164,35 +160,28 @@ mod tests {
     }
 
     #[test]
-    fn scale_parses_thread_and_checkpoint_knobs_strictly() {
+    fn knobs_of_removed_mechanisms_are_errors() {
         let s = Scale::from_lookup(|_| None).unwrap();
         assert_eq!((s.threads, s.checkpoints), (1, false), "defaults");
-        let s = Scale::from_lookup(|k| match k {
-            "CROW_THREADS" => Some("4".into()),
-            "CROW_CHECKPOINTS" => Some("true".into()),
-            _ => None,
-        })
-        .unwrap();
-        assert_eq!((s.threads, s.checkpoints), (4, true));
-        let s = Scale::from_lookup(|k| (k == "CROW_CHECKPOINTS").then(|| " 0 ".into())).unwrap();
-        assert!(!s.checkpoints, "whitespace-tolerant like the integers");
-        // One boolean grammar: `yes` reads like every other flag.
-        let s = Scale::from_lookup(|k| (k == "CROW_CHECKPOINTS").then(|| "yes".into())).unwrap();
-        assert!(s.checkpoints);
-        // Malformed values are configuration errors, never silent
-        // fallbacks — the same contract as the integer knobs.
+        // Any value is rejected, even one that asks for the old default.
         for (k, v) in [
-            ("CROW_THREADS", "fast"),
-            ("CROW_THREADS", "0"),
-            ("CROW_THREADS", "-2"),
-            ("CROW_THREADS", "99999999999"),
-            ("CROW_CHECKPOINTS", "on"),
-            ("CROW_CHECKPOINTS", "2"),
+            ("CROW_THREADS", "1"),
+            ("CROW_THREADS", "4"),
+            ("CROW_CHECKPOINTS", "0"),
+            ("CROW_CHECKPOINTS", "1"),
+            ("CROW_CHECKPOINT_DIR", "results/ckpt"),
         ] {
             let err = Scale::from_lookup(|q| (q == k).then(|| v.into()))
                 .expect_err(&format!("{k}={v} must be rejected"))
                 .to_string();
-            assert!(err.contains(k), "names the variable: {err}");
+            assert!(err.contains(k) && err.contains("removed"), "{err}");
+        }
+        let mut cfg = SystemConfig::quick_test(Mechanism::Baseline);
+        cfg.threads = 2;
+        let app = AppProfile::by_name("mcf").unwrap();
+        match System::try_new(cfg, &[app]) {
+            Err(CrowError::Config(e)) => assert!(e.reason.contains("threads"), "{e}"),
+            other => panic!("threads = 2 must be a ConfigError, got {other:?}"),
         }
     }
 

@@ -30,7 +30,6 @@
 //! ```
 
 pub mod campaign;
-pub mod checkpoint;
 pub mod config;
 pub mod error;
 mod exec;
@@ -40,7 +39,6 @@ pub mod hammer;
 pub mod json;
 mod knobs;
 pub mod metrics;
-mod parallel;
 pub mod report;
 pub mod sampling;
 pub mod server;
@@ -50,7 +48,6 @@ pub mod system;
 pub use campaign::{
     Campaign, CampaignPolicy, JobOutcome, Journal, Journaled, OutcomeCounts, OutcomeKind,
 };
-pub use checkpoint::{warm_via_cache, CheckpointStats, WarmOutcome};
 pub use config::{Engine, Mechanism, SystemConfig};
 pub use error::CrowError;
 pub use experiments::{run_mix, run_single, run_with_config, Scale};

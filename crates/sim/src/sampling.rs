@@ -102,8 +102,8 @@ impl SamplePlan {
     }
 
     /// A stable text fingerprint, embedded in campaign/job fingerprints
-    /// and checkpoint descriptors so sampled and full runs (or two
-    /// different plans) never collide in a journal or cache.
+    /// so sampled and full runs (or two different plans) never collide
+    /// in a journal.
     pub fn fingerprint(&self) -> String {
         format!(
             "w{}h{}f{}",
@@ -567,7 +567,7 @@ mod tests {
         let off = SamplePlan::from_lookup(|k| (k == "CROW_SAMPLE").then(|| "off".into())).unwrap();
         assert_eq!(off, None);
         // Malformed values are configuration errors, never silent
-        // defaults — same contract as CROW_THREADS/CROW_SERVE_*.
+        // defaults — same contract as CROW_INSTS/CROW_SERVE_*.
         for (k, v) in [
             ("CROW_SAMPLE", "fast"),
             ("CROW_SAMPLE", "1:2"),

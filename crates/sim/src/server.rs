@@ -201,6 +201,7 @@ pub struct SimJob {
     /// Interval-sampling schedule (`sample_window`/`sample_warmup`/
     /// `sample_ff` request keys); `None` runs every cycle in detail.
     /// Joins the fingerprint: sampled and full results never collide.
+    /// Never set together with `hammer`.
     pub sample: Option<crate::sampling::SamplePlan>,
 }
 
@@ -365,7 +366,6 @@ pub fn error_code(e: &CrowError) -> &'static str {
         CrowError::Trace(_) => "trace",
         CrowError::Protocol { .. } => "protocol",
         CrowError::Journal { .. } => "journal",
-        CrowError::Checkpoint { .. } => "checkpoint",
         CrowError::Quarantined { .. } => "quarantined",
         CrowError::ResourceLimit { .. } => "resource-limit",
     }
@@ -579,6 +579,12 @@ fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> 
         }
         Some(plan)
     };
+    if hammer.is_some() && sample.is_some() {
+        return Err(bad_req(
+            "\"hammer_pattern\" cannot be combined with \"sample_*\" keys: \
+             the sampling fast-forward skips the attack's injections",
+        ));
+    }
     Ok(SimJob {
         id: id.to_string(),
         apps,
@@ -1565,6 +1571,11 @@ mod tests {
                 "{\"op\":\"sim\",\"id\":\"x\",\"apps\":[\"mcf\"],\"hammer_pattern\":\"double\",\
                  \"hammer_intensity\":0}",
                 "positive",
+            ),
+            (
+                "{\"op\":\"sim\",\"id\":\"x\",\"apps\":[\"mcf\"],\"hammer_pattern\":\"double\",\
+                 \"sample_ff\":100000}",
+                "cannot be combined",
             ),
             (
                 "{\"op\":\"sim\",\"id\":\"x\",\"apps\":[\"mcf\"],\"chaos\":\"teapot\"}",

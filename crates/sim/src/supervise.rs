@@ -871,7 +871,6 @@ mod tests {
             job(|j| {
                 (j.ddr4, j.density, j.validate, j.prefetch) = (true, 8, true, false);
                 j.hammer = Some(("many-4".into(), 70_000));
-                j.sample = sample;
                 j.seed = u64::MAX;
             }),
         ];

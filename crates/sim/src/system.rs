@@ -55,14 +55,14 @@ pub struct System {
     pub(crate) mapper: AddrMapper,
     pub(crate) cpu_cycle: u64,
     pub(crate) mem_cycle: u64,
-    pub(crate) clock_accum: u64,
+    clock_accum: u64,
     completions: Vec<Completion>,
     vrt_rng: StdRng,
     vrt_events: u64,
     /// Per-channel conservative next-event bounds (event-driven engine):
     /// memory ticks strictly before `mc_next_event[i]` are provable
     /// no-ops for controller `i`. 0 forces a real tick.
-    pub(crate) mc_next_event: Vec<u64>,
+    mc_next_event: Vec<u64>,
     /// Target selection for the fault harness (independent of `vrt_rng`
     /// so `cfg.vrt_interval_cycles` and `cfg.fault_plan` compose without
     /// perturbing each other's draws).
@@ -139,6 +139,32 @@ impl System {
             return Err(CrowError::Config(ConfigError::new(
                 "SystemConfig",
                 "at least one core required",
+            )));
+        }
+        if cfg.threads != 1 {
+            return Err(CrowError::Config(ConfigError::new(
+                "SystemConfig",
+                format!(
+                    "threads = {}: the sharded engine was removed, so threads must be 1",
+                    cfg.threads
+                ),
+            )));
+        }
+        // The sampling fast-forward polls no injector, so a sampled run
+        // would silently drop most of their injections.
+        let sampled_injector = [
+            (cfg.hammer.is_some(), "hammer"),
+            (cfg.fault_plan.is_some(), "fault_plan"),
+            (cfg.vrt_interval_cycles.is_some(), "vrt_interval_cycles"),
+        ]
+        .into_iter()
+        .find_map(|(set, name)| (set && cfg.sample.is_some()).then_some(name));
+        if let Some(name) = sampled_injector {
+            return Err(CrowError::Config(ConfigError::new(
+                "SystemConfig",
+                format!(
+                    "sample cannot be combined with {name}: the fast-forward skips its injections"
+                ),
             )));
         }
         let dram = cfg.effective_dram();
@@ -397,25 +423,6 @@ impl System {
         self.cluster.warm(instructions);
     }
 
-    /// Serializes the post-warmup architectural state (cores, page
-    /// tables, LLC) as opaque words, or `None` when the system has
-    /// already started timing simulation or a component cannot
-    /// checkpoint. Pair with [`System::restore_checkpoint_words`] on a
-    /// freshly built system of identical configuration.
-    pub fn checkpoint_words(&self) -> Option<Vec<u64>> {
-        if self.cpu_cycle != 0 || self.mem_cycle != 0 {
-            return None;
-        }
-        self.cluster.checkpoint_words()
-    }
-
-    /// Restores warmup state captured by [`System::checkpoint_words`].
-    /// Returns `false` on malformed or mismatched words; the system must
-    /// then be rebuilt and warmed cold.
-    pub fn restore_checkpoint_words(&mut self, words: &[u64]) -> bool {
-        self.cpu_cycle == 0 && self.mem_cycle == 0 && self.cluster.restore_checkpoint_words(words)
-    }
-
     /// Direct access to the controllers (tests/diagnostics).
     pub fn controllers(&self) -> &[MemController] {
         &self.mcs
@@ -497,7 +504,7 @@ impl System {
     /// system can provably fast-forward: the cluster is inert, no VRT
     /// injection is due, and no skipped memory tick would reach a
     /// controller's next event. 0 means the next cycle must step.
-    pub(crate) fn idle_skip(&self, max_cpu_cycles: u64) -> u64 {
+    fn idle_skip(&self, max_cpu_cycles: u64) -> u64 {
         let inert = self.cluster.inert_cycles(self.cpu_cycle);
         if inert == 0 {
             return 0;
@@ -541,7 +548,7 @@ impl System {
     /// advances inert cores in closed form, replays the clock
     /// accumulator, and charges the skipped memory ticks as idle
     /// background time.
-    pub(crate) fn apply_skip(&mut self, skip: u64) {
+    fn apply_skip(&mut self, skip: u64) {
         self.cluster.advance_inert(self.cpu_cycle, skip);
         let (num, den) = SystemConfig::CLOCK_RATIO;
         let total = self.clock_accum + den * skip;
@@ -562,20 +569,13 @@ impl System {
     pub fn run(&mut self, max_cpu_cycles: u64) -> SimReport {
         let started = std::time::Instant::now();
         let start_cycle = self.cpu_cycle;
-        // Sampled runs own the phase schedule and are serial-only (the
-        // sharded driver cannot re-target cores mid-shard).
+        // Sampled runs own the phase schedule.
         let sampled = self
             .cfg
             .sample
             .map(|plan| crate::sampling::drive(self, plan, max_cpu_cycles));
         if sampled.is_none() {
-            // Attack scenarios are serial-only: the sharded driver cannot
-            // poll the generator or drain flip events mid-shard.
-            if self.cfg.threads > 1 && self.cfg.channels > 1 && self.hammer.is_none() {
-                crate::parallel::drive(self, max_cpu_cycles);
-            } else {
-                self.run_serial(max_cpu_cycles);
-            }
+            self.run_serial(max_cpu_cycles);
         }
         if self.cfg.validate_protocol {
             let now = self.mem_cycle;
@@ -962,6 +962,41 @@ mod tests {
 
         let e = System::try_new(SystemConfig::quick_test(Mechanism::Baseline), &[]).unwrap_err();
         assert!(e.to_string().contains("at least one application"), "{e}");
+    }
+
+    #[test]
+    fn sampled_runs_reject_every_injector() {
+        use crate::hammer::{AttackPattern, HammerScenario};
+        let base = SystemConfig::quick_test(Mechanism::crow_cache(8));
+        let attack = HammerScenario::new(AttackPattern::DoubleSided, 1000);
+        let cases = [
+            ("hammer", base.clone().with_hammer(attack)),
+            (
+                "fault_plan",
+                SystemConfig {
+                    fault_plan: Some(crate::fault::FaultPlan::stress(1)),
+                    ..base.clone()
+                },
+            ),
+            (
+                "vrt_interval_cycles",
+                SystemConfig {
+                    vrt_interval_cycles: Some(10_000),
+                    ..base
+                },
+            ),
+        ];
+        for (name, mut cfg) in cases {
+            assert!(
+                System::try_new(cfg.clone(), &[app("mcf")]).is_ok(),
+                "{name} alone"
+            );
+            cfg.sample = Some(crate::sampling::SamplePlan::default_profile());
+            match System::try_new(cfg, &[app("mcf")]) {
+                Err(CrowError::Config(e)) => assert!(e.reason.contains(name), "{e}"),
+                other => panic!("sample + {name} must be a ConfigError, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -31,17 +31,22 @@ fn normalize(r: &mut crow_sim::SimReport) {
     r.sched = Default::default();
 }
 
-/// Runs one configuration under the full matrix and compares the
-/// reports (normalized) against the naive/linear reference.
-fn assert_equivalent(mechanism: Mechanism, app: &str, vrt: Option<u64>) {
-    let profile = AppProfile::by_name(app).unwrap();
+/// Runs one configuration under the full matrix on `channels` memory
+/// channels and compares the reports (normalized) against the
+/// naive/linear reference.
+fn assert_equivalent_on(channels: u32, mechanism: Mechanism, apps: &[&str], vrt: Option<u64>) {
+    let profiles: Vec<&AppProfile> = apps
+        .iter()
+        .map(|n| AppProfile::by_name(n).unwrap())
+        .collect();
     let mut reports = Vec::new();
     for (engine, sched_impl) in MATRIX {
         let mut cfg = SystemConfig::quick_test(mechanism);
+        cfg.channels = channels;
         cfg.engine = engine;
         cfg.mc.sched_impl = sched_impl;
         cfg.vrt_interval_cycles = vrt;
-        let mut sys = System::new(cfg, &[profile]);
+        let mut sys = System::new(cfg, &profiles);
         let mut r = sys.run(2_000_000);
         normalize(&mut r);
         reports.push(r);
@@ -50,53 +55,16 @@ fn assert_equivalent(mechanism: Mechanism, app: &str, vrt: Option<u64>) {
         assert_eq!(
             format!("{:?}", reports[0]),
             format!("{r:?}"),
-            "{:?} diverged from {:?} for {mechanism:?} on {app}",
+            "{:?} diverged from {:?} for {mechanism:?} on {apps:?} ({channels} ch)",
             MATRIX[i],
             MATRIX[0],
         );
     }
 }
 
-/// Zeroes only the wall-clock fields. Serial×parallel comparisons at a
-/// *fixed* engine use this instead of [`normalize`]: the sharded engine
-/// replays the exact per-channel skip/tick schedule, so even the
-/// scheduler work counters must match bit-for-bit.
-fn normalize_wall(r: &mut crow_sim::SimReport) {
-    r.wall_seconds = 0.0;
-    r.sim_cycles_per_sec = 0.0;
-}
-
-/// Runs one configuration on a 4-channel platform under the full
-/// engine × scheduler matrix, comparing each cell's 2/4/8-thread
-/// sharded run against its own serial run — including the scheduler
-/// diagnostics.
-fn assert_parallel_equivalent(mechanism: Mechanism, apps: &[&str], vrt: Option<u64>) {
-    let profiles: Vec<&AppProfile> = apps
-        .iter()
-        .map(|n| AppProfile::by_name(n).unwrap())
-        .collect();
-    for (engine, sched_impl) in MATRIX {
-        let mut run = |threads: u32| {
-            let mut cfg = SystemConfig::quick_test(mechanism);
-            cfg.channels = 4;
-            cfg.engine = engine;
-            cfg.mc.sched_impl = sched_impl;
-            cfg.vrt_interval_cycles = vrt;
-            cfg.threads = threads;
-            let mut sys = System::new(cfg, &profiles);
-            let mut r = sys.run(2_000_000);
-            normalize_wall(&mut r);
-            format!("{r:?}")
-        };
-        let serial = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                serial,
-                run(threads),
-                "{engine:?}/{sched_impl:?} with {threads} threads diverged from serial for {mechanism:?} on {apps:?}",
-            );
-        }
-    }
+/// [`assert_equivalent_on`] for one application on one channel.
+fn assert_equivalent(mechanism: Mechanism, app: &str, vrt: Option<u64>) {
+    assert_equivalent_on(1, mechanism, &[app], vrt);
 }
 
 #[test]
@@ -193,13 +161,14 @@ fn crow8_validated_run_is_violation_free_on_both_engines() {
 }
 
 #[test]
-fn parallel_baseline_mcf_matches() {
-    assert_parallel_equivalent(Mechanism::Baseline, &["mcf"], None);
+fn four_channel_baseline_mcf_matches() {
+    assert_equivalent_on(4, Mechanism::Baseline, &["mcf"], None);
 }
 
 #[test]
-fn parallel_crow_cache_multicore_mix_matches() {
-    assert_parallel_equivalent(
+fn four_channel_crow_cache_multicore_mix_matches() {
+    assert_equivalent_on(
+        4,
         Mechanism::crow_cache(8),
         &["mcf", "povray", "libq", "gcc"],
         None,
@@ -207,43 +176,42 @@ fn parallel_crow_cache_multicore_mix_matches() {
 }
 
 #[test]
-fn parallel_with_vrt_matches() {
-    // VRT injections land on CPU-cycle boundaries, so the window
-    // builder must close every shard window exactly at each boundary.
-    assert_parallel_equivalent(Mechanism::crow_combined(), &["libq"], Some(100_000));
+fn four_channel_with_vrt_matches() {
+    // VRT injections land on CPU-cycle boundaries and rotate across
+    // channels, so the skipper must stop exactly at each one.
+    assert_equivalent_on(4, Mechanism::crow_combined(), &["libq"], Some(100_000));
 }
 
 #[test]
-fn parallel_random_driver_lockstep_fuzz() {
+fn random_driver_lockstep_fuzz() {
     // The `random` microbenchmark is the adversarial input for the
-    // sharding protocol: uniformly random lines keep every channel's
-    // queues churning, so the conservative occupancy model and the
-    // completion pre-extraction are both exercised hard. Run it with
-    // the shadow validator attached at 1/2/4/8 threads across several
-    // seeds and demand bit-identical checked reports and a clean
-    // oracle everywhere.
+    // event engine and the indexed scheduler: uniformly random lines
+    // keep every channel's queues churning. Run it with the shadow
+    // validator attached across several seeds and demand bit-identical
+    // checked reports from every matrix cell.
     let profile = AppProfile::by_name("random").unwrap();
     for seed in [0xC401u64, 0xC402, 0xC403] {
-        let mut run = |threads: u32| {
+        let run = |(engine, sched_impl): (Engine, SchedImpl)| {
             let mut cfg = SystemConfig::quick_test(Mechanism::crow_cache(8));
             cfg.channels = 4;
             cfg.seed = seed;
+            cfg.engine = engine;
+            cfg.mc.sched_impl = sched_impl;
             cfg.validate_protocol = true;
-            cfg.threads = threads;
             let mut sys = System::new(cfg, &[profile, profile]);
             let mut r = sys
                 .run_checked(2_000_000)
-                .unwrap_or_else(|e| panic!("seed {seed:#x} threads {threads}: {e}"));
-            assert_eq!(r.violations, 0, "seed {seed:#x} threads {threads}");
-            normalize_wall(&mut r);
+                .unwrap_or_else(|e| panic!("seed {seed:#x} {engine:?}/{sched_impl:?}: {e}"));
+            assert_eq!(r.violations, 0, "seed {seed:#x} {engine:?}/{sched_impl:?}");
+            normalize(&mut r);
             format!("{r:?}")
         };
-        let serial = run(1);
-        for threads in [2, 4, 8] {
+        let reference = run(MATRIX[0]);
+        for cell in &MATRIX[1..] {
             assert_eq!(
-                serial,
-                run(threads),
-                "random-driver fuzz diverged at seed {seed:#x}, {threads} threads",
+                reference,
+                run(*cell),
+                "random-driver fuzz diverged at seed {seed:#x} under {cell:?}",
             );
         }
     }

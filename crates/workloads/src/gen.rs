@@ -161,45 +161,6 @@ impl SyntheticTrace {
 }
 
 impl TraceSource for SyntheticTrace {
-    fn snapshot_words(&self) -> Option<Vec<u64>> {
-        // `GenParams` are reconstructed by the caller (they are pure
-        // configuration); the mutable state is the RNG stream plus the
-        // pattern cursors.
-        let s = self.rng.state();
-        let mut w = vec![
-            s[0],
-            s[1],
-            s[2],
-            s[3],
-            self.seq,
-            self.cur_page as u64,
-            self.cur_line,
-            self.active_pages.len() as u64,
-        ];
-        w.extend_from_slice(&self.active_pages);
-        Some(w)
-    }
-
-    fn restore_words(&mut self, words: &[u64]) -> bool {
-        if words.len() < 8 {
-            return false;
-        }
-        let n = words[7] as usize;
-        if words.len() != 8 + n || n != self.active_pages.len() {
-            return false;
-        }
-        let cur_page = words[5] as usize;
-        if n > 0 && cur_page >= n {
-            return false;
-        }
-        self.rng = StdRng::from_state([words[0], words[1], words[2], words[3]]);
-        self.seq = words[4];
-        self.cur_page = cur_page;
-        self.cur_line = words[6];
-        self.active_pages.copy_from_slice(&words[8..]);
-        true
-    }
-
     fn next_entry(&mut self) -> TraceEntry {
         let jitter = if self.p.bubbles > 1 {
             self.rng.gen_range(0..=self.p.bubbles)

@@ -10,8 +10,10 @@ cargo build --release
 echo "== line count of crates/sim/src (tracked in ROADMAP.md) =="
 ./scripts/loc.sh
 
-echo "== the benchmark compiles against the library API =="
-cargo check --manifest-path crowbench/Cargo.toml
+echo "== the benchmark's unit tests and smoke pass of all four workloads =="
+# The smoke pass runs every workload's correctness checks: traced equals
+# untraced, resume, byte-identical cached replies, served equals local.
+cargo test --manifest-path crowbench/Cargo.toml
 
 echo "== cargo test -q =="
 cargo test --workspace -q
@@ -52,21 +54,6 @@ echo "== scheduler perf gate (counter-based, deterministic) =="
 # per pick below a fixed bound. Counters only — no wall-clock flake.
 cargo build --release -p crow-bench --bin sched_gate
 target/release/sched_gate
-
-echo "== parallel engine gate (serial vs 4-thread bit-exact) =="
-# The sharded per-channel engine is an exactness claim: every
-# engine × scheduler × mechanism cell of a bench-suite slice must
-# produce a byte-identical report at 4 worker threads and serially.
-cargo build --release -p crow-bench --bin parallel_gate
-target/release/parallel_gate
-
-echo "== warm checkpoint gate (second pass restores every warmup) =="
-# A repeated-configuration campaign run twice against a fresh cache:
-# the second pass must be all hits with zero warmup instructions
-# re-simulated, bit-identical reports, and the checkpoint delta
-# recorded in the campaign's .summary.json.
-cargo build --release -p crow-bench --bin checkpoint_gate
-target/release/checkpoint_gate
 
 echo "== sampling gate (interval sampling: accuracy, speedup, determinism) =="
 # Statistical interval sampling contracts: sampled IPC within 2% of the
