@@ -16,8 +16,8 @@ use crow_cpu::trace::{load_trace, LoopedTrace, TraceEntry};
 use crow_cpu::TraceSource;
 use crow_dram::Command;
 use crow_sim::{
-    AttackPattern, Campaign, CampaignPolicy, FaultPlan, FaultPolicy, HammerScenario, Mechanism,
-    OutcomeKind, SamplePlan, Scale, SimReport, System, SystemConfig,
+    AttackPattern, Campaign, CampaignPolicy, FaultPlan, HammerScenario, Mechanism, OutcomeKind,
+    SamplePlan, Scale, SimReport, System, SystemConfig,
 };
 use crow_workloads::AppProfile;
 
@@ -37,9 +37,8 @@ struct Args {
     ddr4: bool,
     validate: bool,
     faults: Option<String>,
-    fault_policy: FaultPolicy,
     hammer: Option<String>,
-    hammer_intensity: u64,
+    hammer_intensity: Option<u64>,
     timeout: Option<f64>,
     retries: Option<u32>,
     resume: bool,
@@ -52,7 +51,7 @@ fn usage() -> ! {
          \x20        [--insts N] [--warmup N] [--density 8|16|32|64]\n\
          \x20        [--llc-mib N] [--channels N] [--seed N]\n\
          \x20        [--prefetch] [--per-bank-refresh] [--oracle] [--ddr4]\n\
-         \x20        [--validate] [--faults SPEC] [--fault-policy P]\n\
+         \x20        [--validate] [--faults SPEC]\n\
          \x20        [--hammer PATTERN] [--hammer-intensity N]\n\
          \x20        [--timeout SECS] [--retries N] [--resume]\n\
          \x20        [--sample SPEC]\n\
@@ -63,9 +62,9 @@ fn usage() -> ! {
          \x20      random/streaming); --trace replays a recorded file instead\n\
          \n\
          --validate attaches the shadow protocol validator to every channel\n\
-         --faults SPEC enables fault injection: `stress` or a comma list of\n\
-         \x20    vrt=N, hammer=N, burst=N, drop=N (intervals in CPU cycles)\n\
-         --fault-policy P is abort, record (default) or degrade\n\
+         --faults SPEC injects faults every N CPU cycles; SPEC is a comma\n\
+         \x20    list of vrt=N (a new VRT weak row, remapped with ACT-c) and\n\
+         \x20    drop=N (a lost command-bus slot); RowHammer is --hammer\n\
          --hammer PATTERN attaches a RowHammer attack scenario (single,\n\
          \x20    double, many-N, half-double); --hammer-intensity sets the\n\
          \x20    aggressor ACTs per refresh window (default 500000), and\n\
@@ -74,7 +73,7 @@ fn usage() -> ! {
          \n\
          --timeout/--retries/--resume run the simulation as a supervised\n\
          \x20    campaign job (journaled under results/campaign/simulate.jsonl):\n\
-         \x20    a panic, Abort-policy fault, or overrun deadline is retried at\n\
+         \x20    a panic, protocol violation, or overrun deadline is retried at\n\
          \x20    a degraded instruction budget, and --resume restores a\n\
          \x20    previously journaled result instead of re-running\n\
          \n\
@@ -88,47 +87,44 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_fault_policy(s: &str) -> FaultPolicy {
-    match s.to_ascii_lowercase().as_str() {
-        "abort" => FaultPolicy::Abort,
-        "record" => FaultPolicy::Record,
-        "degrade" => FaultPolicy::Degrade,
-        other => {
-            eprintln!("unknown fault policy {other}");
-            usage();
-        }
-    }
+/// Rejects a removed option, naming what replaced it.
+fn removed(what: &str, instead: &str) -> ! {
+    eprintln!("simulate: {what} was removed; {instead}");
+    std::process::exit(2);
 }
 
-fn parse_fault_plan(spec: &str, seed: u64, policy: FaultPolicy) -> FaultPlan {
-    let mut p = if spec.eq_ignore_ascii_case("stress") {
-        FaultPlan::stress(seed)
-    } else {
-        let mut p = FaultPlan::quiet(seed);
-        for part in spec.split(',') {
-            let Some((key, value)) = part.split_once('=') else {
-                eprintln!("bad --faults item {part:?} (want key=value)");
+/// Parses `--faults` into the VRT and bus-drop intervals.
+fn parse_faults(spec: &str) -> (Option<u64>, Option<u64>) {
+    let hammer = "use --hammer PATTERN [--hammer-intensity N] for RowHammer";
+    if spec.eq_ignore_ascii_case("stress") {
+        removed(
+            "--faults stress",
+            &format!("spell out the intervals, e.g. --faults vrt=40000,drop=10000, and {hammer}"),
+        );
+    }
+    let (mut vrt, mut drop) = (None, None);
+    for part in spec.split(',') {
+        let Some((key, value)) = part.split_once('=') else {
+            eprintln!("bad --faults item {part:?} (want key=value)");
+            usage();
+        };
+        if matches!(key, "hammer" | "burst") {
+            removed(&format!("--faults {key}=N"), hammer);
+        }
+        let n: u64 = value.parse().unwrap_or_else(|_| {
+            eprintln!("bad --faults value in {part:?}");
+            usage();
+        });
+        match key {
+            "vrt" => vrt = Some(n),
+            "drop" => drop = Some(n),
+            other => {
+                eprintln!("unknown --faults key {other}");
                 usage();
-            };
-            let n: u64 = value.parse().unwrap_or_else(|_| {
-                eprintln!("bad --faults value in {part:?}");
-                usage();
-            });
-            match key {
-                "vrt" => p.vrt_interval = Some(n),
-                "hammer" => p.hammer_interval = Some(n),
-                "burst" => p.hammer_burst = n as u32,
-                "drop" => p.drop_interval = Some(n),
-                other => {
-                    eprintln!("unknown --faults key {other}");
-                    usage();
-                }
             }
         }
-        p
-    };
-    p.policy = policy;
-    p
+    }
+    (vrt, drop)
 }
 
 fn parse_args() -> Args {
@@ -148,9 +144,8 @@ fn parse_args() -> Args {
         ddr4: false,
         validate: false,
         faults: None,
-        fault_policy: FaultPolicy::Record,
         hammer: None,
-        hammer_intensity: 500_000,
+        hammer_intensity: None,
         timeout: None,
         retries: None,
         resume: false,
@@ -180,12 +175,17 @@ fn parse_args() -> Args {
             "--oracle" => a.oracle = true,
             "--validate" => a.validate = true,
             "--faults" => a.faults = Some(val("--faults")),
-            "--fault-policy" => a.fault_policy = parse_fault_policy(&val("--fault-policy")),
+            "--fault-policy" => removed(
+                "--fault-policy",
+                "a protocol violation or a dry trace now always fails the run",
+            ),
             "--hammer" => a.hammer = Some(val("--hammer")),
             "--hammer-intensity" => {
-                a.hammer_intensity = val("--hammer-intensity")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
+                a.hammer_intensity = Some(
+                    val("--hammer-intensity")
+                        .parse()
+                        .unwrap_or_else(|_| usage()),
+                );
             }
             "--timeout" => a.timeout = Some(val("--timeout").parse().unwrap_or_else(|_| usage())),
             "--retries" => a.retries = Some(val("--retries").parse().unwrap_or_else(|_| usage())),
@@ -259,7 +259,7 @@ where
         None => String::new(),
     };
     let job_fp = format!(
-        "sim/{}/{}/d{}/llc{}/ch{}/s{}{}{}{}{}{}{}/{}/{:?}",
+        "sim/{}/{}/d{}/llc{}/ch{}/s{}{}{}{}{}{}{}/{}",
         args.mechanism,
         if args.traces.is_empty() {
             args.apps.join("+")
@@ -277,7 +277,6 @@ where
         if args.validate { "/validate" } else { "" },
         hammer_fp,
         args.faults.as_deref().unwrap_or("-"),
-        args.fault_policy,
     );
     let oracle = args.oracle;
     let outcomes = camp.run(vec![(job_fp, cfg)], move |cfg, scale| {
@@ -371,9 +370,11 @@ fn main() {
         cfg.validate_protocol = true;
     }
     if let Some(spec) = &args.faults {
-        cfg.fault_plan = Some(parse_fault_plan(spec, args.seed, args.fault_policy));
+        let (vrt, drop) = parse_faults(spec);
+        cfg.vrt_interval_cycles = vrt;
+        cfg.fault_plan = drop.map(|drop_interval| FaultPlan { drop_interval });
     }
-    if args.hammer.is_none() && args.hammer_intensity != 500_000 {
+    if args.hammer.is_none() && args.hammer_intensity.is_some() {
         eprintln!("--hammer-intensity needs --hammer");
         usage();
     }
@@ -382,11 +383,12 @@ fn main() {
             eprintln!("unknown attack pattern {spec}");
             usage();
         });
-        if args.hammer_intensity == 0 {
+        let intensity = args.hammer_intensity.unwrap_or(500_000);
+        if intensity == 0 {
             eprintln!("--hammer-intensity must be positive");
             usage();
         }
-        let mut sc = HammerScenario::new(pattern, args.hammer_intensity);
+        let mut sc = HammerScenario::new(pattern, intensity);
         if let Err(e) = sc.apply_env() {
             eprintln!("simulate: {e}");
             std::process::exit(2);
@@ -395,7 +397,7 @@ fn main() {
     }
     let hammering = cfg.hammer;
     let validating = cfg.validate_protocol;
-    let injecting = cfg.fault_plan.is_some();
+    let injecting = args.faults.is_some();
 
     // Resolve inputs once, up front (bad names/files fail fast in both
     // the direct and the supervised path).
@@ -473,8 +475,8 @@ fn main() {
     if injecting {
         let f = &r.faults;
         println!(
-            "faults injected: vrt {} | hammer {} ({} victims) | drops {} | suppressed {}",
-            f.vrt_injected, f.hammer_injected, f.hammer_victims, f.drops_injected, f.suppressed
+            "faults injected: vrt {} | drops {}",
+            f.vrt_injected, f.drops_injected
         );
     }
     if r.trace_faults > 0 {

@@ -1001,47 +1001,6 @@ impl MemController {
         self.bump_epoch();
     }
 
-    /// Injects `burst` RowHammer-style disturbance activations of `row`
-    /// (fault harness): the detector observes them as aggressor
-    /// activations, and any victims it flags are queued for `ACT-c`
-    /// protection copies exactly as on the demand path. Returns the
-    /// number of victim copies queued (0 without a CROW substrate or a
-    /// configured detector).
-    pub fn inject_disturbance(
-        &mut self,
-        rank: u32,
-        bank: u32,
-        row: u32,
-        burst: u32,
-        now: Cycle,
-    ) -> u32 {
-        let cb = self.crow_bank(rank, bank);
-        let mut victims = Vec::new();
-        {
-            let Some(crow) = self.crow.as_mut() else {
-                return 0;
-            };
-            for _ in 0..burst {
-                victims.extend(crow.hammer_check(cb, row, now));
-            }
-        }
-        let queued = victims.len() as u32;
-        for victim in victims {
-            let subarray = self.subarray_of(victim);
-            self.copy_ops.push_back(CopyOp {
-                rank,
-                bank,
-                subarray,
-                row: victim,
-                purpose: CopyPurpose::Hammer,
-            });
-        }
-        // The detector advanced (and copies may be queued): any memoized
-        // wake bound is stale.
-        self.bump_epoch();
-        queued
-    }
-
     /// Arms a transient command-bus drop (fault harness): the next
     /// scheduling opportunity issues nothing and the lost cycle is
     /// counted in [`McStats::bus_drops`].
@@ -2274,7 +2233,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_disturbance_queues_hammer_copies() {
+    fn demand_activations_queue_hammer_copies() {
         let mut crow_cfg = CrowConfig::tiny_test();
         crow_cfg.hammer = Some(crow_core::HammerConfig {
             threshold: 4,
@@ -2286,16 +2245,29 @@ mod tests {
             dram,
             Some(CrowSubstrate::new(crow_cfg)),
         );
-        // A burst below threshold flags nothing.
-        assert_eq!(mc.inject_disturbance(0, 0, 10, 3, 0), 0);
-        // Crossing the threshold flags both neighbours.
-        assert_eq!(mc.inject_disturbance(0, 0, 10, 1, 1), 2);
-        // The controller protects the victims with ACT-c copies.
-        let _ = run(&mut mc, 1000);
+        mc.attach_oracle();
+        let mut now = 0;
+        let mut out = Vec::new();
+        // Each read runs to completion, and row 200 shares bank 0 with
+        // row 10, so every read of row 10 is a fresh demand ACT.
+        let mut read_row = |mc: &mut MemController, id: u64, row: u32| {
+            mc.try_enqueue(read(id, 0, row, 0)).unwrap();
+            while mc.pending() > 0 {
+                mc.tick(now, &mut out);
+                now += 1;
+            }
+        };
+        for (id, row) in [10, 200, 10, 200, 10, 200].into_iter().enumerate() {
+            read_row(&mut mc, id as u64, row);
+        }
+        // Three activations of row 10 stay below the threshold.
+        assert_eq!(mc.crow().unwrap().hammer_detections(), 0);
+        assert_eq!(mc.stats().hammer_copies, 0);
+        // The fourth crosses it: both neighbours get ACT-c copies.
+        read_row(&mut mc, 6, 10);
+        assert_eq!(mc.crow().unwrap().hammer_detections(), 1);
         assert_eq!(mc.stats().hammer_copies, 2);
-        // No substrate: injection is a no-op.
-        let mut plain = baseline_mc();
-        assert_eq!(plain.inject_disturbance(0, 0, 10, 100, 0), 0);
+        mc.channel().oracle().unwrap().assert_clean();
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! * every attempt runs on its own thread under
 //!   [`std::panic::catch_unwind`], so a panic (or a structured
-//!   [`CrowError`], e.g. an [`crate::FaultPolicy::Abort`] fault) becomes
-//!   a recorded [`JobOutcome`] instead of a dead pool;
+//!   [`CrowError`], e.g. a protocol violation from
+//!   [`crate::System::run_checked`]) becomes a recorded [`JobOutcome`]
+//!   instead of a dead pool;
 //! * an attempt past its wall-clock deadline is abandoned (its thread
 //!   keeps running detached and its late result is discarded);
 //! * failed or timed-out jobs are retried after a backoff at a

@@ -255,7 +255,8 @@ pub struct SystemConfig {
     pub oracle: bool,
     /// Inject one variable-retention-time (VRT) weak-row discovery every
     /// this many CPU cycles (paper §4.2.3: newly-identified weak rows are
-    /// remapped at runtime with `ACT-c`). `None` disables VRT events.
+    /// remapped at runtime with `ACT-c`). `None` disables VRT events;
+    /// [`crate::System::try_new`] rejects 0.
     pub vrt_interval_cycles: Option<u64>,
     /// Overrides the multiple-row-activation timing set (ablations, e.g.
     /// [`MraTimings::no_partial_restore`]); `None` uses the paper
@@ -263,8 +264,9 @@ pub struct SystemConfig {
     pub mra_override: Option<MraTimings>,
     /// Stepping engine (results are identical either way).
     pub engine: Engine,
-    /// Seeded fault-injection schedule (VRT failures, RowHammer bursts,
-    /// command-bus drops); `None` injects nothing.
+    /// Periodic command-bus drops ([`crate::fault`]); `None` drops
+    /// nothing. VRT events come from `vrt_interval_cycles` and RowHammer
+    /// from `hammer`.
     pub fault_plan: Option<FaultPlan>,
     /// An active RowHammer attack scenario: a seeded aggressor generator
     /// injects attack reads through the real controller and a flip model

@@ -17,8 +17,8 @@ pub enum CrowError {
     Controller(McError),
     /// An instruction trace was empty or ran dry.
     Trace(TraceError),
-    /// The shadow protocol validator recorded violations and the fault
-    /// policy is [`crate::FaultPolicy::Abort`].
+    /// The shadow protocol validator recorded violations during
+    /// [`crate::System::run_checked`].
     Protocol {
         /// Total violations across all channels.
         violations: u64,

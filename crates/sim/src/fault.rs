@@ -1,166 +1,29 @@
-//! Seeded fault-injection harness (robustness testing).
+//! Transient command-bus drops (robustness testing).
 //!
-//! A [`FaultPlan`] schedules three classes of deterministic, seeded
-//! faults against a running [`crate::System`]:
-//!
-//! * **VRT retention failures** — a random row is declared weak and
-//!   queued for CROW's runtime remapping (paper §4.2.3), exercising the
-//!   `ACT-c` weak-row copy path and the refresh-interval fallback;
-//! * **RowHammer disturbance activations** — a burst of aggressor
-//!   activations of a random row is fed to the detector, exercising the
-//!   victim-copy path (paper §4.3);
-//! * **transient command-bus drops** — one scheduling opportunity is
-//!   lost, exercising the controller's retry behaviour.
-//!
-//! All intervals are in CPU cycles and all randomness derives from
-//! [`FaultPlan::seed`], so runs are bit-reproducible and identical
-//! across stepping engines. The [`FaultPolicy`] decides what a run does
-//! with faults the mechanism cannot mitigate and with protocol
-//! violations observed by the shadow validator.
+//! A [`FaultPlan`] drops one command-bus scheduling opportunity every
+//! `drop_interval` CPU cycles, rotating across channels, which exercises
+//! the controller's retry behaviour. Drops are the only fault class
+//! with no other injector: VRT weak-row discoveries come from
+//! [`crate::SystemConfig::vrt_interval_cycles`] and RowHammer from a
+//! [`crate::hammer::HammerScenario`]'s aggressor reads. The schedule
+//! draws no random numbers, so runs are bit-reproducible and identical
+//! across stepping engines.
 
-/// What the run does about injected faults and observed violations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultPolicy {
-    /// [`crate::System::run_checked`] fails after the run if the shadow
-    /// validator recorded protocol violations or a core parked on a
-    /// trace fault.
-    Abort,
-    /// Inject everything, count everything, always complete the run.
-    #[default]
-    Record,
-    /// Like [`FaultPolicy::Record`], but injections the configured
-    /// mechanism cannot mitigate (VRT remaps or hammer protection
-    /// without a CROW substrate) are suppressed and counted instead of
-    /// applied.
-    Degrade,
-}
-
-/// A deterministic schedule of fault injections.
+/// A deterministic schedule of command-bus drops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed for target selection (rows, banks, ranks).
-    pub seed: u64,
-    /// Inject one VRT weak-row discovery every this many CPU cycles.
-    pub vrt_interval: Option<u64>,
-    /// Inject one RowHammer burst every this many CPU cycles.
-    pub hammer_interval: Option<u64>,
-    /// Aggressor activations per hammer injection.
-    pub hammer_burst: u32,
-    /// Drop one command-bus scheduling slot every this many CPU cycles.
-    pub drop_interval: Option<u64>,
-    /// Mitigation policy.
-    pub policy: FaultPolicy,
+    /// Drop one command-bus scheduling slot every this many CPU cycles
+    /// ([`crate::System::try_new`] rejects 0).
+    pub drop_interval: u64,
 }
 
-impl FaultPlan {
-    /// A plan injecting nothing (useful as a base to customise).
-    pub fn quiet(seed: u64) -> Self {
-        Self {
-            seed,
-            vrt_interval: None,
-            hammer_interval: None,
-            hammer_burst: 1,
-            drop_interval: None,
-            policy: FaultPolicy::Record,
-        }
-    }
-
-    /// A stress plan exercising all three fault classes at short
-    /// intervals (for tests; production soak runs would use much longer
-    /// intervals).
-    pub fn stress(seed: u64) -> Self {
-        Self {
-            seed,
-            vrt_interval: Some(40_000),
-            hammer_interval: Some(25_000),
-            hammer_burst: 64,
-            drop_interval: Some(10_000),
-            policy: FaultPolicy::Record,
-        }
-    }
-
-    /// All active injection intervals.
-    pub fn intervals(&self) -> impl Iterator<Item = u64> + '_ {
-        [self.vrt_interval, self.hammer_interval, self.drop_interval]
-            .into_iter()
-            .flatten()
-    }
-
-    /// Whether `now` is an injection boundary for any active interval.
-    pub fn due(&self, now: u64) -> bool {
-        now > 0 && self.intervals().any(|i| now.is_multiple_of(i))
-    }
-
-    /// CPU cycles from `now` (exclusive) to the next injection boundary;
-    /// `u64::MAX` when the plan injects nothing.
-    pub fn next_boundary_in(&self, now: u64) -> u64 {
-        self.intervals()
-            .map(|i| (now / i + 1) * i - now)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-}
-
-/// Counters for everything the harness injected (deterministic; part of
-/// the cross-engine equivalence contract).
+/// Counters for every periodic injection (deterministic; part of the
+/// cross-engine equivalence contract).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// VRT weak-row discoveries injected.
+    /// VRT weak-row discoveries injected
+    /// ([`crate::SystemConfig::vrt_interval_cycles`]).
     pub vrt_injected: u64,
-    /// RowHammer bursts injected.
-    pub hammer_injected: u64,
-    /// Victim protection copies queued by the detector across all
-    /// hammer injections.
-    pub hammer_victims: u64,
-    /// Command-bus drops armed.
+    /// Command-bus drops armed ([`FaultPlan`]).
     pub drops_injected: u64,
-    /// Injections suppressed by [`FaultPolicy::Degrade`] because the
-    /// mechanism cannot mitigate them.
-    pub suppressed: u64,
-}
-
-impl FaultStats {
-    /// Total faults injected (suppressed ones excluded).
-    pub fn total_injected(&self) -> u64 {
-        self.vrt_injected + self.hammer_injected + self.drops_injected
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn boundaries_and_due() {
-        let mut p = FaultPlan::quiet(1);
-        assert!(!p.due(1000));
-        assert_eq!(p.next_boundary_in(1000), u64::MAX);
-        p.vrt_interval = Some(300);
-        p.drop_interval = Some(70);
-        assert!(p.due(300) && p.due(700) && p.due(2100));
-        assert!(!p.due(0), "cycle 0 never injects");
-        assert!(!p.due(301));
-        assert_eq!(p.next_boundary_in(0), 70);
-        assert_eq!(p.next_boundary_in(295), 5);
-        assert_eq!(p.next_boundary_in(300), 50, "next is 350, not 300");
-    }
-
-    #[test]
-    fn stress_plan_is_fully_active() {
-        let p = FaultPlan::stress(7);
-        assert_eq!(p.intervals().count(), 3);
-        assert!(p.hammer_burst > 0);
-    }
-
-    #[test]
-    fn stats_total() {
-        let s = FaultStats {
-            vrt_injected: 2,
-            hammer_injected: 3,
-            drops_injected: 5,
-            hammer_victims: 6,
-            suppressed: 1,
-        };
-        assert_eq!(s.total_injected(), 10);
-    }
 }

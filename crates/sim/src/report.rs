@@ -38,7 +38,8 @@ pub struct SimReport {
     pub violations: u64,
     /// Cores parked because their instruction trace ran dry.
     pub trace_faults: u64,
-    /// Fault-harness injection counters (all zero without a fault plan).
+    /// Periodic injection counters: VRT events and command-bus drops
+    /// (all zero without `vrt_interval_cycles` or a fault plan).
     pub faults: FaultStats,
     /// Merged scheduler work counters across channels (diagnostic; not
     /// part of the cross-engine equivalence contract — engines and
@@ -153,12 +154,15 @@ impl Journaled for SimReport {
             self.energy.ref_nj,
             self.energy.background_nj,
         ];
+        // Slots 1, 2 and 4 held the removed synthetic-hammer and
+        // suppression counters. They stay as zeros so a run without an
+        // injector journals the same bytes and older journals decode.
         let faults = [
             self.faults.vrt_injected,
-            self.faults.hammer_injected,
-            self.faults.hammer_victims,
+            0,
+            0,
             self.faults.drops_injected,
-            self.faults.suppressed,
+            0,
         ];
         let sched = [
             self.sched.picks,
@@ -317,10 +321,7 @@ impl Journaled for SimReport {
             trace_faults: get_u64(v, "trace_faults")?,
             faults: FaultStats {
                 vrt_injected: faults[0],
-                hammer_injected: faults[1],
-                hammer_victims: faults[2],
                 drops_injected: faults[3],
-                suppressed: faults[4],
             },
             sched,
             hammer,
@@ -391,7 +392,7 @@ mod tests {
             trace_faults: 1,
             faults: FaultStats {
                 vrt_injected: 3,
-                ..FaultStats::default()
+                drops_injected: 4,
             },
             sched: SchedStats {
                 picks: 11,
@@ -415,10 +416,16 @@ mod tests {
         assert_eq!(back.commands, r.commands);
         assert_eq!(back.energy.act_nj.to_bits(), r.energy.act_nj.to_bits());
         assert!(!back.finished);
-        assert_eq!(back.faults.vrt_injected, 3);
+        assert_eq!(back.faults, r.faults);
         assert_eq!(back.sched, r.sched);
         // Re-encoding the decoded report reproduces the bytes.
         assert_eq!(back.encode().render(), text);
+        // Older journals may carry the removed hammer and suppression
+        // counters in slots 1, 2 and 4; they still decode.
+        let old = text.replace("\"faults\":[3,0,0,4,0]", "\"faults\":[3,5,6,4,7]");
+        assert_ne!(old, text);
+        let back = SimReport::decode(&Json::parse(&old).unwrap()).unwrap();
+        assert_eq!(back.faults, r.faults);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::{Engine, Mechanism, SystemConfig};
 use crate::error::CrowError;
-use crate::fault::{FaultPolicy, FaultStats};
+use crate::fault::FaultStats;
 use crate::hammer::HammerState;
 use crate::report::SimReport;
 use crow_dram::ConfigError;
@@ -58,15 +58,13 @@ pub struct System {
     clock_accum: u64,
     completions: Vec<Completion>,
     vrt_rng: StdRng,
-    vrt_events: u64,
     /// Per-channel conservative next-event bounds (event-driven engine):
     /// memory ticks strictly before `mc_next_event[i]` are provable
     /// no-ops for controller `i`. 0 forces a real tick.
     mc_next_event: Vec<u64>,
-    /// Target selection for the fault harness (independent of `vrt_rng`
-    /// so `cfg.vrt_interval_cycles` and `cfg.fault_plan` compose without
-    /// perturbing each other's draws).
-    fault_rng: StdRng,
+    /// CPU cycle of the next periodic injection (VRT event or bus drop);
+    /// `u64::MAX` when neither is configured. Never behind `cpu_cycle`.
+    next_injection: u64,
     fault_stats: FaultStats,
     /// Active RowHammer attack scenario (generator + flip model); `None`
     /// when `cfg.hammer` is unset.
@@ -167,6 +165,19 @@ impl System {
                 ),
             )));
         }
+        let [vrt, drop] = periodic_intervals(&cfg);
+        let zero_interval = [
+            (vrt, "vrt_interval_cycles"),
+            (drop, "fault_plan.drop_interval"),
+        ]
+        .into_iter()
+        .find_map(|(interval, name)| (interval == Some(0)).then_some(name));
+        if let Some(name) = zero_interval {
+            return Err(CrowError::Config(ConfigError::new(
+                "SystemConfig",
+                format!("{name} must be positive"),
+            )));
+        }
         let dram = cfg.effective_dram();
         dram.validate()
             .map_err(|reason| ConfigError::new("DramConfig", reason))?;
@@ -237,9 +248,8 @@ impl System {
             .collect::<Result<_, _>>()?;
         let cluster = CpuCluster::new(cfg.cpu, traces, mapper.capacity_bytes(), cfg.seed);
         let vrt_rng = StdRng::seed_from_u64(cfg.seed ^ 0x56525421);
-        let fault_seed = cfg.fault_plan.map_or(0, |p| p.seed);
-        let fault_rng = StdRng::seed_from_u64(fault_seed ^ 0x464C5421);
         let mc_next_event = vec![0; mcs.len()];
+        let next_injection = next_injection_after(&cfg, 0);
         Ok(Self {
             cfg,
             cluster,
@@ -250,9 +260,8 @@ impl System {
             clock_accum: 0,
             completions: Vec::with_capacity(64),
             vrt_rng,
-            vrt_events: 0,
             mc_next_event,
-            fault_rng,
+            next_injection,
             fault_stats: FaultStats::default(),
             hammer,
         })
@@ -262,88 +271,32 @@ impl System {
     /// on a round-robin channel is declared weak and queued for runtime
     /// remapping (paper §4.2.3).
     pub fn inject_vrt_event(&mut self) {
-        let ch = (self.vrt_events % u64::from(self.cfg.channels)) as usize;
+        let ch = (self.fault_stats.vrt_injected % u64::from(self.cfg.channels)) as usize;
         let dram = self.mcs[ch].channel().config();
         let rank = self.vrt_rng.gen_range(0..dram.ranks);
         let bank = self.vrt_rng.gen_range(0..dram.banks);
         let row = self.vrt_rng.gen_range(0..dram.rows_per_bank);
         self.mcs[ch].remap_weak_row_in_rank(rank, bank, row);
         self.mc_next_event[ch] = 0;
-        self.vrt_events += 1;
+        self.fault_stats.vrt_injected += 1;
     }
 
-    /// Number of VRT events injected so far.
-    pub fn vrt_events(&self) -> u64 {
-        self.vrt_events
-    }
-
-    /// Counters for everything the fault harness injected.
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.fault_stats
-    }
-
-    /// Applies every injection due at the current CPU cycle under the
-    /// configured [`crate::FaultPlan`]. All selections draw from the dedicated
-    /// fault RNG, so the schedule is bit-reproducible and identical
-    /// across stepping engines.
-    fn poll_fault_plan(&mut self) {
-        let Some(plan) = self.cfg.fault_plan else {
-            return;
-        };
+    /// Fires every periodic injection due at the current CPU cycle (a
+    /// VRT event, then a bus drop on a round-robin channel) and
+    /// schedules the next one.
+    fn inject_due(&mut self) {
         let now = self.cpu_cycle;
-        if now == 0 {
-            return;
+        let [vrt, drop] = periodic_intervals(&self.cfg);
+        if vrt.is_some_and(|i| now.is_multiple_of(i)) {
+            self.inject_vrt_event();
         }
-        if plan.vrt_interval.is_some_and(|i| now.is_multiple_of(i)) {
-            self.inject_fault_vrt(plan.policy);
-        }
-        if plan.hammer_interval.is_some_and(|i| now.is_multiple_of(i)) {
-            self.inject_fault_hammer(plan.policy, plan.hammer_burst);
-        }
-        if plan.drop_interval.is_some_and(|i| now.is_multiple_of(i)) {
+        if drop.is_some_and(|i| now.is_multiple_of(i)) {
             let ch = (self.fault_stats.drops_injected % u64::from(self.cfg.channels)) as usize;
             self.mcs[ch].drop_next_issue();
             self.mc_next_event[ch] = 0;
             self.fault_stats.drops_injected += 1;
         }
-    }
-
-    /// One VRT retention failure: a random row is declared weak. Without
-    /// a CROW substrate the remap is unmitigable; [`FaultPolicy::Degrade`]
-    /// suppresses it (counted), other policies queue it anyway (the
-    /// controller drops the op and the row simply stays unprotected).
-    fn inject_fault_vrt(&mut self, policy: FaultPolicy) {
-        let ch = (self.fault_stats.vrt_injected % u64::from(self.cfg.channels)) as usize;
-        if policy == FaultPolicy::Degrade && self.mcs[ch].crow().is_none() {
-            self.fault_stats.suppressed += 1;
-            return;
-        }
-        let dram = self.mcs[ch].channel().config();
-        let rank = self.fault_rng.gen_range(0..dram.ranks);
-        let bank = self.fault_rng.gen_range(0..dram.banks);
-        let row = self.fault_rng.gen_range(0..dram.rows_per_bank);
-        self.mcs[ch].remap_weak_row_in_rank(rank, bank, row);
-        self.mc_next_event[ch] = 0;
-        self.fault_stats.vrt_injected += 1;
-    }
-
-    /// One RowHammer burst: `burst` aggressor activations of a random
-    /// row are shown to the detector; flagged victims queue `ACT-c`
-    /// protection copies.
-    fn inject_fault_hammer(&mut self, policy: FaultPolicy, burst: u32) {
-        let ch = (self.fault_stats.hammer_injected % u64::from(self.cfg.channels)) as usize;
-        if policy == FaultPolicy::Degrade && self.mcs[ch].crow().is_none() {
-            self.fault_stats.suppressed += 1;
-            return;
-        }
-        let dram = self.mcs[ch].channel().config();
-        let rank = self.fault_rng.gen_range(0..dram.ranks);
-        let bank = self.fault_rng.gen_range(0..dram.banks);
-        let row = self.fault_rng.gen_range(0..dram.rows_per_bank);
-        let victims = self.mcs[ch].inject_disturbance(rank, bank, row, burst, self.mem_cycle);
-        self.mc_next_event[ch] = 0;
-        self.fault_stats.hammer_injected += 1;
-        self.fault_stats.hammer_victims += u64::from(victims);
+        self.next_injection = next_injection_after(&self.cfg, now);
     }
 
     fn build_crow(
@@ -441,12 +394,9 @@ impl System {
     /// accounting ([`MemController::skip_idle`]); everything else is
     /// stepped identically to the naive engine.
     pub(crate) fn step(&mut self, event_driven: bool) {
-        if let Some(interval) = self.cfg.vrt_interval_cycles {
-            if self.cpu_cycle > 0 && self.cpu_cycle.is_multiple_of(interval) {
-                self.inject_vrt_event();
-            }
+        if self.cpu_cycle == self.next_injection {
+            self.inject_due();
         }
-        self.poll_fault_plan();
         self.poll_hammer();
         let (num, den) = SystemConfig::CLOCK_RATIO;
         self.clock_accum += den;
@@ -501,28 +451,20 @@ impl System {
     }
 
     /// How many CPU cycles (starting at the current one) the whole
-    /// system can provably fast-forward: the cluster is inert, no VRT
-    /// injection is due, and no skipped memory tick would reach a
-    /// controller's next event. 0 means the next cycle must step.
+    /// system can provably fast-forward: the cluster is inert, no
+    /// periodic or aggressor injection is due, and no skipped memory
+    /// tick would reach a controller's next event. 0 means the next
+    /// cycle must step.
     fn idle_skip(&self, max_cpu_cycles: u64) -> u64 {
         let inert = self.cluster.inert_cycles(self.cpu_cycle);
         if inert == 0 {
             return 0;
         }
         let now = self.cpu_cycle;
-        let mut k = inert.min(max_cpu_cycles.saturating_sub(now));
-        if let Some(interval) = self.cfg.vrt_interval_cycles {
-            if now > 0 && now.is_multiple_of(interval) {
-                return 0; // an injection is due this very cycle
-            }
-            k = k.min((now / interval + 1) * interval - now);
-        }
-        if let Some(plan) = &self.cfg.fault_plan {
-            if plan.due(now) {
-                return 0; // a fault injection is due this very cycle
-            }
-            k = k.min(plan.next_boundary_in(now));
-        }
+        // 0 when a periodic injection is due this very cycle.
+        let mut k = inert
+            .min(max_cpu_cycles.saturating_sub(now))
+            .min(self.next_injection - now);
         if let Some(hs) = &self.hammer {
             if hs.gen.due(now) {
                 return 0; // an aggressor injection is due this very cycle
@@ -623,11 +565,9 @@ impl System {
         }
     }
 
-    /// Like [`System::run`], but turns bad outcomes into typed errors:
-    /// unless the fault plan's policy is [`FaultPolicy::Record`] or
-    /// [`FaultPolicy::Degrade`] (which explicitly opt into completing),
-    /// a core parked on a dry trace or any protocol violation recorded
-    /// by the shadow validator fails the run.
+    /// Like [`System::run`], but turns bad outcomes into typed errors: a
+    /// core parked on a dry trace or any protocol violation recorded by
+    /// the shadow validator fails the run.
     ///
     /// # Errors
     ///
@@ -636,26 +576,20 @@ impl System {
     /// validator findings.
     pub fn run_checked(&mut self, max_cpu_cycles: u64) -> Result<SimReport, CrowError> {
         let r = self.run(max_cpu_cycles);
-        let tolerate = self
-            .cfg
-            .fault_plan
-            .is_some_and(|p| matches!(p.policy, FaultPolicy::Record | FaultPolicy::Degrade));
-        if !tolerate {
-            if let Some(&(_, e)) = self.cluster.trace_faults().first() {
-                return Err(CrowError::Trace(e));
-            }
-            if r.violations > 0 {
-                let first = self.mcs.iter().find_map(|mc| {
-                    mc.channel()
-                        .validator()
-                        .and_then(|v| v.violations().first())
-                        .map(ToString::to_string)
-                });
-                return Err(CrowError::Protocol {
-                    violations: r.violations,
-                    first,
-                });
-            }
+        if let Some(&(_, e)) = self.cluster.trace_faults().first() {
+            return Err(CrowError::Trace(e));
+        }
+        if r.violations > 0 {
+            let first = self.mcs.iter().find_map(|mc| {
+                mc.channel()
+                    .validator()
+                    .and_then(|v| v.violations().first())
+                    .map(ToString::to_string)
+            });
+            return Err(CrowError::Protocol {
+                violations: r.violations,
+                first,
+            });
         }
         Ok(r)
     }
@@ -722,6 +656,27 @@ impl System {
             }
         }
     }
+}
+
+/// The periodic injectors' intervals in CPU cycles: VRT weak-row
+/// events, then command-bus drops.
+fn periodic_intervals(cfg: &SystemConfig) -> [Option<u64>; 2] {
+    [
+        cfg.vrt_interval_cycles,
+        cfg.fault_plan.map(|p| p.drop_interval),
+    ]
+}
+
+/// The first CPU cycle after `now` at which a periodic injection fires
+/// (multiples of each interval; cycle 0 never fires); `u64::MAX` when
+/// none is configured.
+fn next_injection_after(cfg: &SystemConfig, now: u64) -> u64 {
+    periodic_intervals(cfg)
+        .into_iter()
+        .flatten()
+        .map(|i| (now / i + 1) * i)
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 impl std::fmt::Debug for System {
@@ -869,35 +824,30 @@ mod tests {
     }
 
     #[test]
-    fn vrt_events_remap_rows_at_runtime() {
-        let mut cfg = SystemConfig::quick_test(Mechanism::crow_combined());
-        cfg.oracle = true;
-        cfg.vrt_interval_cycles = Some(20_000);
-        let mut sys = System::new(cfg, &[app("mcf")]);
-        let r = sys.run(30_000_000);
-        assert!(r.finished);
-        assert!(sys.vrt_events() > 0, "VRT events should have fired");
-        sys.assert_data_integrity();
-        // Runtime remaps land in the table as pinned Ref entries: the
-        // total of installed ref remaps grows beyond the boot-time plan.
-        let boot_plan = {
-            let cfg2 = SystemConfig::quick_test(Mechanism::crow_combined());
-            let sys2 = System::new(cfg2, &[app("mcf")]);
-            sys2.controllers()[0]
-                .crow()
-                .unwrap()
-                .table()
-                .total_occupancy()
+    fn vrt_injection_remaps_rows_at_runtime() {
+        let run = |vrt| {
+            let mut cfg = SystemConfig::quick_test(Mechanism::crow_combined());
+            cfg.oracle = true;
+            cfg.vrt_interval_cycles = vrt;
+            let mut sys = System::new(cfg, &[app("mcf")]);
+            let r = sys.run(30_000_000);
+            assert!(r.finished);
+            sys.assert_data_integrity();
+            assert_eq!(sys.controllers()[0].crow().unwrap().refresh_multiplier(), 2);
+            r
         };
-        let with_vrt = sys.controllers()[0]
-            .crow()
-            .unwrap()
-            .table()
-            .total_occupancy();
-        // Occupancy comparison is noisy (cache entries churn), so check
-        // the refresh multiplier stayed extended and the run stayed clean.
-        assert_eq!(sys.controllers()[0].crow().unwrap().refresh_multiplier(), 2);
-        let _ = (boot_plan, with_vrt);
+        let quiet = run(None);
+        let vrt = run(Some(20_000));
+        assert_eq!(quiet.faults.vrt_injected, 0);
+        assert!(vrt.faults.vrt_injected > 0, "VRT events should have fired");
+        // Each new weak row is copied into a copy row with ACT-c (§4.2.3).
+        let act_c = |r: &SimReport| r.commands.issued(crow_dram::Command::ActC);
+        assert!(
+            act_c(&vrt) > act_c(&quiet),
+            "ACT-c {} with VRT vs {} without",
+            act_c(&vrt),
+            act_c(&quiet)
+        );
     }
 
     #[test]
@@ -950,17 +900,30 @@ mod tests {
 
     #[test]
     fn try_construction_reports_typed_errors() {
-        let mut bad_dram = SystemConfig::quick_test(Mechanism::Baseline);
+        let base = SystemConfig::quick_test(Mechanism::Baseline);
+        let mut bad_dram = base.clone();
         bad_dram.dram.banks = 6;
-        let e = System::try_new(bad_dram, &[app("mcf")]).unwrap_err();
-        assert!(e.to_string().contains("invalid DramConfig"), "{e}");
-
-        let mut bad_mc = SystemConfig::quick_test(Mechanism::Baseline);
+        let mut bad_mc = base.clone();
         bad_mc.mc.read_q = 0;
-        let e = System::try_new(bad_mc, &[app("mcf")]).unwrap_err();
-        assert!(e.to_string().contains("invalid McConfig"), "{e}");
+        let zero_vrt = SystemConfig {
+            vrt_interval_cycles: Some(0),
+            ..base.clone()
+        };
+        let zero_drop = SystemConfig {
+            fault_plan: Some(crate::fault::FaultPlan { drop_interval: 0 }),
+            ..base.clone()
+        };
+        for (cfg, want) in [
+            (bad_dram, "invalid DramConfig"),
+            (bad_mc, "invalid McConfig"),
+            (zero_vrt, "vrt_interval_cycles must be positive"),
+            (zero_drop, "fault_plan.drop_interval must be positive"),
+        ] {
+            let e = System::try_new(cfg, &[app("mcf")]).unwrap_err();
+            assert!(e.to_string().contains(want), "{e}");
+        }
 
-        let e = System::try_new(SystemConfig::quick_test(Mechanism::Baseline), &[]).unwrap_err();
+        let e = System::try_new(base, &[]).unwrap_err();
         assert!(e.to_string().contains("at least one application"), "{e}");
     }
 
@@ -974,7 +937,9 @@ mod tests {
             (
                 "fault_plan",
                 SystemConfig {
-                    fault_plan: Some(crate::fault::FaultPlan::stress(1)),
+                    fault_plan: Some(crate::fault::FaultPlan {
+                        drop_interval: 10_000,
+                    }),
                     ..base.clone()
                 },
             ),
@@ -1032,59 +997,6 @@ mod tests {
             "{e}"
         );
         assert!(e.to_string().contains("trace exhausted"), "{e}");
-    }
-
-    #[test]
-    fn hammer_fault_injection_queues_victim_copies() {
-        use crate::fault::FaultPlan;
-        let mechanism = Mechanism::RowHammer {
-            copy_rows: 8,
-            hammer: crow_core::HammerConfig {
-                threshold: 16,
-                window_cycles: 100_000_000,
-            },
-        };
-        let mut cfg = SystemConfig::quick_test(mechanism);
-        cfg.oracle = true;
-        cfg.validate_protocol = true;
-        let mut plan = FaultPlan::quiet(0xBEEF);
-        plan.hammer_interval = Some(20_000);
-        plan.hammer_burst = 32; // crosses the detector threshold alone
-        cfg.fault_plan = Some(plan);
-        let mut sys = System::new(cfg, &[app("mcf")]);
-        let r = sys.run(30_000_000);
-        assert!(r.finished);
-        assert!(r.faults.hammer_injected > 0);
-        assert!(
-            r.faults.hammer_victims > 0,
-            "a 32-activation burst over threshold 16 must flag victims"
-        );
-        assert!(
-            r.mc.hammer_copies > 0,
-            "queued victims must become ACT-c protection copies"
-        );
-        assert_eq!(r.violations, 0, "injections must not break protocol");
-        sys.assert_data_integrity();
-    }
-
-    #[test]
-    fn degrade_policy_suppresses_unmitigable_injections() {
-        use crate::fault::{FaultPlan, FaultPolicy};
-        // Baseline has no CROW substrate: VRT remaps and hammer
-        // protection are unmitigable, so Degrade suppresses them.
-        let mut cfg = SystemConfig::quick_test(Mechanism::Baseline);
-        cfg.cpu.target_insts = u64::MAX / 2; // never finishes
-        let mut plan = FaultPlan::quiet(3);
-        plan.vrt_interval = Some(10_000);
-        plan.hammer_interval = Some(15_000);
-        plan.policy = FaultPolicy::Degrade;
-        cfg.fault_plan = Some(plan);
-        let mut sys = System::new(cfg, &[app("libq")]);
-        let r = sys.run(300_000);
-        assert!(r.faults.suppressed > 0, "{:?}", r.faults);
-        assert_eq!(r.faults.vrt_injected, 0);
-        assert_eq!(r.faults.hammer_injected, 0);
-        assert_eq!(r.faults.total_injected(), 0);
     }
 
     #[test]

@@ -96,11 +96,10 @@ fn crow_combined_with_vrt_matches() {
 
 #[test]
 fn fault_plan_under_both_engines_matches() {
-    // Fault injections (VRT remaps, hammer bursts, bus drops) are
-    // scheduled on CPU-cycle boundaries with a dedicated RNG, so all
-    // four configurations must apply the exact same schedule —
-    // including the validator's violation count and every fault
-    // counter — and produce bit-identical reports.
+    // Bus drops and VRT remaps share one CPU-cycle schedule, so all
+    // four configurations must apply the exact same injections —
+    // including the validator's violation count and both fault
+    // counters — and produce bit-identical reports.
     let profile = AppProfile::by_name("mcf").unwrap();
     let mut reports = Vec::new();
     for (engine, sched_impl) in MATRIX {
@@ -108,7 +107,10 @@ fn fault_plan_under_both_engines_matches() {
         cfg.engine = engine;
         cfg.mc.sched_impl = sched_impl;
         cfg.validate_protocol = true;
-        cfg.fault_plan = Some(FaultPlan::stress(0xFA17));
+        cfg.fault_plan = Some(FaultPlan {
+            drop_interval: 10_000,
+        });
+        cfg.vrt_interval_cycles = Some(40_000);
         let mut sys = System::new(cfg, &[profile]);
         let mut r = sys.run(2_000_000);
         normalize(&mut r);
@@ -122,10 +124,10 @@ fn fault_plan_under_both_engines_matches() {
             MATRIX[i],
         );
     }
+    let f = reports[0].faults;
     assert!(
-        reports[0].faults.total_injected() > 0,
-        "the stress plan must actually inject: {:?}",
-        reports[0].faults
+        f.vrt_injected > 0 && f.drops_injected > 0,
+        "both injectors must fire: {f:?}"
     );
     assert!(reports[0].mc.bus_drops > 0, "drops must cost real slots");
     assert_eq!(reports[0].violations, 0, "faults must not break protocol");

@@ -142,7 +142,8 @@ fn mitigations_suppress_live_flips() {
 #[test]
 fn attack_reports_are_engine_invariant() {
     // The full engine × scheduler matrix must agree bit-for-bit on a
-    // run with live flips (only wall-clock and scheduler diagnostics
+    // run with live flips, and on a CROW §4.3 run whose detector queues
+    // `ACT-c` victim copies (only wall-clock and scheduler diagnostics
     // may differ).
     let matrix = [
         (Engine::Naive, SchedImpl::Linear),
@@ -150,27 +151,42 @@ fn attack_reports_are_engine_invariant() {
         (Engine::EventDriven, SchedImpl::Linear),
         (Engine::EventDriven, SchedImpl::Indexed),
     ];
+    let crow_hammer = Mechanism::RowHammer {
+        copy_rows: 8,
+        hammer: HammerConfig {
+            threshold: 8,
+            window_cycles: 102_400_000,
+        },
+    };
     let profile = AppProfile::by_name("mcf").unwrap();
-    let mut reports = Vec::new();
-    for (engine, sched_impl) in matrix {
-        let mut cfg = attack_cfg(Mechanism::crow_cache(8), AttackPattern::DoubleSided);
-        cfg.engine = engine;
-        cfg.mc.sched_impl = sched_impl;
-        let mut sys = System::new(cfg, &[profile]);
-        let mut r = sys.run(2_000_000);
-        r.wall_seconds = 0.0;
-        r.sim_cycles_per_sec = 0.0;
-        r.sched = Default::default();
-        reports.push(r);
-    }
-    assert!(reports[0].hammer.flips > 0, "want a run with live flips");
-    for (i, r) in reports.iter().enumerate().skip(1) {
-        assert_eq!(
-            format!("{:?}", reports[0]),
-            format!("{r:?}"),
-            "{:?} diverged under attack",
-            matrix[i],
-        );
+    for mechanism in [Mechanism::crow_cache(8), crow_hammer] {
+        let mut reports = Vec::new();
+        for (engine, sched_impl) in matrix {
+            let mut cfg = attack_cfg(mechanism, AttackPattern::DoubleSided);
+            cfg.engine = engine;
+            cfg.mc.sched_impl = sched_impl;
+            cfg.oracle = true;
+            let mut sys = System::new(cfg, &[profile]);
+            let mut r = sys.run(2_000_000);
+            sys.assert_data_integrity();
+            r.wall_seconds = 0.0;
+            r.sim_cycles_per_sec = 0.0;
+            r.sched = Default::default();
+            reports.push(r);
+        }
+        if mechanism == crow_hammer {
+            assert!(reports[0].mc.hammer_copies > 0, "want victim copies");
+        } else {
+            assert!(reports[0].hammer.flips > 0, "want a run with live flips");
+        }
+        for (i, r) in reports.iter().enumerate().skip(1) {
+            assert_eq!(
+                format!("{:?}", reports[0]),
+                format!("{r:?}"),
+                "{:?} diverged under attack on {mechanism:?}",
+                matrix[i],
+            );
+        }
     }
 }
 
