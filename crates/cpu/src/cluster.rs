@@ -1,7 +1,7 @@
 //! The CPU cluster: cores + shared LLC + page tables + prefetcher,
 //! talking to the memory system through [`MemPort`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::cache::{AccessKind, Llc, LlcResult};
 use crate::config::CpuConfig;
@@ -33,8 +33,13 @@ pub trait MemPort {
     fn send(&mut self, req: CpuMemReq) -> bool;
 }
 
+/// An outstanding fill.
 #[derive(Debug)]
 struct MshrEntry {
+    /// Line-aligned physical address.
+    line: u64,
+    /// Id of the read request sent for it.
+    req: u64,
     initiator: u32,
     waiters: Vec<(u32, u64)>,
 }
@@ -46,10 +51,9 @@ pub struct CpuCluster {
     pages: Vec<PageTable>,
     llc: Llc,
     prefetcher: Option<StridePrefetcher>,
-    /// Outstanding fills keyed by line address.
-    outstanding: HashMap<u64, MshrEntry>,
-    /// Request id → line address.
-    req_lines: HashMap<u64, u64>,
+    /// Outstanding fills, at most one per line; the MSHR cap bounds them
+    /// by cores × MSHRs, so lookups scan.
+    outstanding: Vec<MshrEntry>,
     mshr_used: Vec<u32>,
     pending_writebacks: VecDeque<(u32, u64)>,
     next_req: u64,
@@ -92,8 +96,7 @@ impl CpuCluster {
             pages,
             llc: Llc::new(cfg.llc_bytes, cfg.llc_ways),
             prefetcher: cfg.prefetcher.map(|(e, d)| StridePrefetcher::new(e, d)),
-            outstanding: HashMap::new(),
-            req_lines: HashMap::new(),
+            outstanding: Vec::with_capacity(n * cfg.mshrs as usize),
             mshr_used: vec![0; n],
             pending_writebacks: VecDeque::new(),
             next_req: 0,
@@ -311,7 +314,7 @@ impl CpuCluster {
                 break; // parked: nothing left to dispatch, ever
             }
             let Some(acc) = self.cores[i].pending_access() else {
-                self.cores[i].dispatch_bubble(now);
+                self.cores[i].dispatch_bubble();
                 continue;
             };
             let pa = self.pages[i].translate(acc.vaddr);
@@ -336,16 +339,12 @@ impl CpuCluster {
                 let _ = self.llc.access(pa, AccessKind::Read);
                 let ready = now + self.cfg.llc_hit_cycles;
                 self.cores[i].dispatch_ready(ready);
-            } else if self.outstanding.contains_key(&line) {
+            } else if let Some(m) = self.outstanding.iter().position(|e| e.line == line) {
                 // Merge into the in-flight fill.
                 let _ = self.llc.access(pa, AccessKind::Read);
                 self.cores[i].demand_misses += 1;
                 let seq = self.cores[i].dispatch_waiting();
-                self.outstanding
-                    .get_mut(&line)
-                    .expect("checked above")
-                    .waiters
-                    .push((i as u32, seq));
+                self.outstanding[m].waiters.push((i as u32, seq));
             } else {
                 if self.mshr_used[i] >= self.cfg.mshrs {
                     break; // all MSHRs busy: stall dispatch
@@ -365,14 +364,12 @@ impl CpuCluster {
                 self.cores[i].demand_misses += 1;
                 self.demand_reads_sent += 1;
                 let seq = self.cores[i].dispatch_waiting();
-                self.outstanding.insert(
+                self.outstanding.push(MshrEntry {
                     line,
-                    MshrEntry {
-                        initiator: i as u32,
-                        waiters: vec![(i as u32, seq)],
-                    },
-                );
-                self.req_lines.insert(id, line);
+                    req: id,
+                    initiator: i as u32,
+                    waiters: vec![(i as u32, seq)],
+                });
                 self.mshr_used[i] += 1;
             }
             self.train_prefetcher(i, acc.vaddr, mem);
@@ -386,7 +383,7 @@ impl CpuCluster {
         for cand in pf.on_load(vaddr) {
             let pa = self.pages[i].translate(cand);
             let line = pa & !63;
-            if self.llc.probe(line) || self.outstanding.contains_key(&line) {
+            if self.llc.probe(line) || self.outstanding.iter().any(|e| e.line == line) {
                 continue;
             }
             if self.mshr_used[i] >= self.cfg.mshrs {
@@ -403,14 +400,12 @@ impl CpuCluster {
             if !sent {
                 return;
             }
-            self.outstanding.insert(
+            self.outstanding.push(MshrEntry {
                 line,
-                MshrEntry {
-                    initiator: i as u32,
-                    waiters: Vec::new(),
-                },
-            );
-            self.req_lines.insert(id, line);
+                req: id,
+                initiator: i as u32,
+                waiters: Vec::new(),
+            });
             self.mshr_used[i] += 1;
         }
     }
@@ -418,14 +413,11 @@ impl CpuCluster {
     /// Reports a completed memory read; fills the LLC and wakes waiting
     /// loads.
     pub fn on_completion(&mut self, req_id: u64, now: CpuCycle) {
-        let Some(line) = self.req_lines.remove(&req_id) else {
+        let Some(m) = self.outstanding.iter().position(|e| e.req == req_id) else {
             return; // writeback acks are not tracked
         };
-        let entry = self
-            .outstanding
-            .remove(&line)
-            .expect("completion for unknown line");
-        if let Some(wb) = self.llc.fill(line) {
+        let entry = self.outstanding.swap_remove(m);
+        if let Some(wb) = self.llc.fill(entry.line) {
             self.pending_writebacks.push_back((entry.initiator, wb));
         }
         for (core, seq) in entry.waiters {
@@ -442,11 +434,12 @@ impl CpuCluster {
     /// How many upcoming CPU cycles (starting at `now`) the whole
     /// cluster is provably inert: no queued writeback needs the memory
     /// path and every core is either fully stalled or in a mechanical
-    /// bubble stretch (see [`Core::inert_cycles`]). Those cycles touch
-    /// neither the LLC, the page tables, the prefetcher, nor the memory
-    /// system, so the simulator may replay them in closed form with
-    /// [`CpuCluster::advance_inert`] — provided no memory completion is
-    /// delivered inside the window.
+    /// bubble stretch, retiring window slots that are already ready while
+    /// loads further back may still wait (see [`Core::inert_cycles`]).
+    /// Those cycles touch neither the LLC, the page tables, the
+    /// prefetcher, nor the memory system, so the simulator may replay
+    /// them in closed form with [`CpuCluster::advance_inert`] — provided
+    /// no memory completion is delivered inside the window.
     ///
     /// Returns 0 if the next cycle must run normally; `u64::MAX` means
     /// inert until an external completion arrives.
@@ -469,7 +462,8 @@ impl CpuCluster {
 
     /// Replays `k` cycles agreed inert by [`CpuCluster::inert_cycles`]
     /// on every core (stalled cores are untouched; mechanical cores
-    /// retire and dispatch in closed form).
+    /// retire and dispatch in closed form, at a cost of the memory slots
+    /// they retire rather than of `k`).
     pub fn advance_inert(&mut self, now: CpuCycle, k: u64) {
         for core in &mut self.cores {
             core.advance_inert(now, k);

@@ -1,5 +1,6 @@
 //! The per-core out-of-order window model.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::trace::{TraceError, TraceSource};
@@ -9,13 +10,15 @@ pub type CpuCycle = u64;
 
 const WAITING: CpuCycle = u64::MAX;
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// An in-flight memory instruction (load or store).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemSlot {
+    /// Dispatch sequence number; also marks a waiting load ready on
+    /// completion.
+    seq: u64,
     /// Cycle at which the instruction may retire (`WAITING` for a load
     /// whose fill has not returned).
     ready_at: CpuCycle,
-    /// Identifier used to mark waiting loads ready on completion.
-    seq: u64,
 }
 
 /// A simple out-of-order core: instructions enter an in-order window and
@@ -24,8 +27,23 @@ struct Slot {
 ///
 /// This is the standard trace-driven model Ramulator uses for CPU traces
 /// and is the core the paper simulates (4-wide, 128-entry window).
+///
+/// The window holds the sequence numbers `head ..= next_seq`. Only its
+/// memory instructions are stored; every other sequence number in that
+/// range is a bubble (compute instruction). A bubble needs no slot: it
+/// is ready from the cycle it dispatches, and retirement runs before
+/// dispatch in every cycle, so a bubble is always ready by the time it
+/// reaches the head.
 pub struct Core {
-    window: VecDeque<Slot>,
+    /// In-flight memory instructions in dispatch order.
+    mem: VecDeque<MemSlot>,
+    /// Leading entries of `mem` known ready. A slot ready at one cycle
+    /// stays ready at every later one, so the scan for the first slot
+    /// that is not ready resumes here (see [`Core::first_unready`]).
+    ready: Cell<usize>,
+    /// Sequence number of the oldest in-flight instruction
+    /// (`next_seq + 1` when the window is empty).
+    head: u64,
     window_size: usize,
     ipc: u32,
     trace: Box<dyn TraceSource>,
@@ -48,7 +66,7 @@ impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("retired", &self.retired)
-            .field("window", &self.window.len())
+            .field("window", &self.window_len())
             .finish()
     }
 }
@@ -57,7 +75,9 @@ impl Core {
     /// Creates a core over an endless trace.
     pub fn new(trace: Box<dyn TraceSource>, ipc: u32, window_size: usize, target: u64) -> Self {
         Self {
-            window: VecDeque::with_capacity(window_size),
+            mem: VecDeque::with_capacity(window_size),
+            ready: Cell::new(0),
+            head: 1,
             window_size,
             ipc,
             trace,
@@ -111,25 +131,35 @@ impl Core {
         }
     }
 
+    /// In-flight instructions.
+    fn window_len(&self) -> u64 {
+        self.next_seq + 1 - self.head
+    }
+
     /// Retires up to `ipc` ready instructions from the window head.
     pub fn retire(&mut self, now: CpuCycle) {
         for _ in 0..self.ipc {
-            match self.window.front() {
-                Some(s) if s.ready_at <= now => {
-                    self.window.pop_front();
-                    self.retired += 1;
-                    if self.retired == self.target && self.finish_cycle.is_none() {
-                        self.finish_cycle = Some(now.max(1));
-                    }
+            if self.window_len() == 0 {
+                break;
+            }
+            if let Some(s) = self.mem.front().filter(|s| s.seq == self.head) {
+                if s.ready_at > now {
+                    break;
                 }
-                _ => break,
+                self.mem.pop_front();
+                self.ready.set(self.ready.get().saturating_sub(1));
+            }
+            self.head += 1;
+            self.retired += 1;
+            if self.retired == self.target && self.finish_cycle.is_none() {
+                self.finish_cycle = Some(now.max(1));
             }
         }
     }
 
     /// Whether the window has space for another instruction.
     pub fn window_has_space(&self) -> bool {
-        self.window.len() < self.window_size
+        self.window_len() < self.window_size as u64
     }
 
     /// Pulls trace records until a dispatchable instruction is pending.
@@ -166,50 +196,45 @@ impl Core {
     }
 
     /// Dispatches one bubble (compute) instruction.
-    pub fn dispatch_bubble(&mut self, now: CpuCycle) {
+    pub fn dispatch_bubble(&mut self) {
         debug_assert!(self.pending_bubbles > 0 && self.window_has_space());
         self.pending_bubbles -= 1;
-        let seq = self.alloc_seq();
-        self.window.push_back(Slot { ready_at: now, seq });
+        self.next_seq += 1;
     }
 
     /// Dispatches the pending memory access as already-satisfied (store,
     /// or load hit ready at `ready_at`).
     pub fn dispatch_ready(&mut self, ready_at: CpuCycle) {
-        debug_assert!(self.pending_access().is_some() && self.window_has_space());
-        self.pending_access = None;
-        let seq = self.alloc_seq();
-        self.window.push_back(Slot { ready_at, seq });
+        self.dispatch_access(ready_at);
     }
 
     /// Dispatches the pending load as waiting on memory; returns the seq
     /// to mark ready later.
     pub fn dispatch_waiting(&mut self) -> u64 {
+        self.dispatch_access(WAITING)
+    }
+
+    fn dispatch_access(&mut self, ready_at: CpuCycle) -> u64 {
         debug_assert!(self.pending_access().is_some() && self.window_has_space());
         self.pending_access = None;
-        let seq = self.alloc_seq();
-        self.window.push_back(Slot {
-            ready_at: WAITING,
-            seq,
-        });
+        self.next_seq += 1;
+        let seq = self.next_seq;
+        self.mem.push_back(MemSlot { seq, ready_at });
         seq
     }
 
     /// Marks a waiting load ready (fill returned).
     pub fn complete(&mut self, seq: u64, now: CpuCycle) {
-        for s in self.window.iter_mut() {
-            if s.seq == seq {
-                debug_assert_eq!(s.ready_at, WAITING, "completing a non-waiting slot");
-                s.ready_at = now;
-                return;
+        match self.mem.binary_search_by_key(&seq, |s| s.seq) {
+            Ok(i) => {
+                debug_assert_eq!(
+                    self.mem[i].ready_at, WAITING,
+                    "completing a non-waiting slot"
+                );
+                self.mem[i].ready_at = now;
             }
+            Err(_) => debug_assert!(false, "completion for unknown seq {seq}"),
         }
-        debug_assert!(false, "completion for unknown seq {seq}");
-    }
-
-    fn alloc_seq(&mut self) -> u64 {
-        self.next_seq += 1;
-        self.next_seq
     }
 
     /// Consumes up to `max` of the pending record's bubbles without
@@ -234,10 +259,16 @@ impl Core {
     }
 
     /// Advances the dispatch sequence counter as if `n` instructions
-    /// had been dispatched, keeping the batched functional warmup
-    /// bit-identical to the historical one-instruction-at-a-time path.
+    /// had been dispatched and retired, keeping the batched functional
+    /// warmup bit-identical to the historical one-instruction-at-a-time
+    /// path. The warmup runs on an empty window.
     pub fn bump_seq(&mut self, n: u64) {
+        debug_assert!(
+            self.window_empty(),
+            "functional warmup with instructions in flight"
+        );
         self.next_seq += n;
+        self.head += n;
     }
 
     /// How many cycles starting at `now` this core is provably *inert*:
@@ -249,84 +280,100 @@ impl Core {
     /// [`Core::advance_inert`] with bit-identical results.
     ///
     /// Returns 0 if the next cycle must run normally; `u64::MAX` means
-    /// inert until an external completion arrives.
+    /// inert until an external completion arrives. `now` never goes
+    /// backwards from one call to the next.
     pub fn inert_cycles(&self, now: CpuCycle) -> u64 {
-        if self.trace_fault.is_some() && self.window.is_empty() {
+        if self.trace_fault.is_some() && self.window_empty() {
             // Parked with a drained window: no retire, no dispatch, no
             // refill can ever happen again — inert indefinitely.
             return u64::MAX;
         }
-        if self.is_mechanical(now) {
-            let n = u64::from(self.ipc);
-            let mut k = u64::from(self.pending_bubbles) / n;
-            if self.finish_cycle.is_none() {
-                // Stop strictly before the retirement target so the
-                // finishing cycle itself runs through the normal path and
-                // records `finish_cycle` exactly as the naive stepper
-                // would.
-                k = k.min(self.target.saturating_sub(self.retired + 1) / n);
-            }
+        let k = self.mechanical_cycles(now);
+        if k > 0 || self.window_has_space() {
             return k;
         }
-        if !self.window_has_space() {
-            // Fully stalled: nothing can dispatch, and retirement resumes
-            // only once the head slot becomes ready.
-            return match self.window.front() {
-                Some(s) if s.ready_at == WAITING => u64::MAX,
-                Some(s) if s.ready_at > now => s.ready_at - now,
-                _ => 0,
-            };
+        // Fully stalled: nothing can dispatch, and retirement resumes
+        // only once the head becomes ready. A bubble head is ready.
+        match self.mem.front() {
+            Some(s) if s.seq == self.head && s.ready_at == WAITING => u64::MAX,
+            Some(s) if s.seq == self.head && s.ready_at > now => s.ready_at - now,
+            _ => 0,
         }
-        0
     }
 
-    /// Mechanical-stretch preconditions: enough queued bubbles that no
-    /// trace refill or access dispatch happens, a window deep enough
-    /// that exactly `ipc` slots retire per cycle, and every slot already
-    /// retirable (so retirement never blocks mid-stretch). The window
-    /// length is then invariant cycle over cycle: retire `ipc`, dispatch
-    /// `ipc` bubbles.
-    fn is_mechanical(&self, now: CpuCycle) -> bool {
+    /// The length of the mechanical bubble stretch starting at `now`, in
+    /// cycles (0: none). Cycle `j` of a stretch retires the window's
+    /// slots `j·ipc .. (j+1)·ipc` and dispatches `ipc` bubbles, so a
+    /// stretch of `k` cycles needs:
+    ///
+    /// - `k·ipc` queued bubbles, so no trace refill or access dispatch
+    ///   happens;
+    /// - at least `ipc` slots in the window, so exactly `ipc` retire per
+    ///   cycle and the window length is invariant;
+    /// - the first `k·ipc` slots ready at `now`, so retirement never
+    ///   blocks. The bubbles the stretch dispatches reach the head at
+    ///   least one cycle after they dispatch, so they are ready too.
+    ///
+    /// A stretch also stops one instruction short of the retirement
+    /// target, so the finishing cycle runs through the normal path and
+    /// records `finish_cycle` exactly as stepping would.
+    fn mechanical_cycles(&self, now: CpuCycle) -> u64 {
         let n = u64::from(self.ipc);
-        u64::from(self.pending_bubbles) >= n
-            && self.window.len() as u64 >= n
-            && !self.window.iter().any(|s| s.ready_at > now)
+        let len = self.window_len();
+        if u64::from(self.pending_bubbles) < n || len < n {
+            return 0;
+        }
+        let mut k = u64::from(self.pending_bubbles) / n;
+        if self.finish_cycle.is_none() {
+            k = k.min(self.target.saturating_sub(self.retired + 1) / n);
+        }
+        if let Some(first) = self.first_unready(now) {
+            k = k.min(first / n);
+        }
+        k
+    }
+
+    /// The window position of the first slot not ready at `now`, or
+    /// `None` when every slot is. Bubbles are always ready, so this is
+    /// the first memory slot with `ready_at > now`; the scan resumes
+    /// after the slots earlier calls found ready, since a slot ready at
+    /// one cycle stays ready at every later one. Amortised O(1).
+    fn first_unready(&self, now: CpuCycle) -> Option<u64> {
+        let mut i = self.ready.get();
+        let first = loop {
+            match self.mem.get(i) {
+                Some(s) if s.ready_at <= now => i += 1,
+                Some(s) => break Some(s.seq - self.head),
+                None => break None,
+            }
+        };
+        self.ready.set(i);
+        first
     }
 
     /// Replays `k` cycles agreed inert by [`Core::inert_cycles`] in
     /// closed form. For a stalled core this is a no-op; for a mechanical
-    /// bubble stretch it applies the exact retire/dispatch effects of
-    /// cycles `now .. now + k`.
+    /// bubble stretch it retires the first `k·ipc` slots and dispatches
+    /// `k·ipc` bubbles behind the rest, at a cost of the memory slots
+    /// it retires.
     pub fn advance_inert(&mut self, now: CpuCycle, k: u64) {
-        if k == 0 || !self.is_mechanical(now) {
+        if k == 0 || self.mechanical_cycles(now) == 0 {
             return;
         }
-        let n = u64::from(self.ipc);
-        let pushes = n * k;
-        debug_assert!(u64::from(self.pending_bubbles) >= pushes);
-        // Each cycle retires `ipc` ready slots and dispatches `ipc`
-        // bubbles, so the window length is invariant and its final
-        // content is the most recent `len` dispatches (possibly with a
-        // prefix of surviving old slots if the stretch was short).
-        let len = self.window.len() as u64;
-        self.retired += pushes;
-        self.pending_bubbles -= pushes as u32;
-        let kept_new = pushes.min(len);
-        if pushes >= len {
-            self.window.clear();
-        } else {
-            self.window.drain(..pushes as usize);
+        debug_assert!(k <= self.mechanical_cycles(now));
+        let m = u64::from(self.ipc) * k;
+        self.retired += m;
+        self.pending_bubbles -= m as u32;
+        self.next_seq += m;
+        self.head += m;
+        // Every retired memory slot lies before the first unready one,
+        // inside the prefix `mechanical_cycles` just found ready.
+        let mut popped = 0;
+        while self.mem.front().is_some_and(|s| s.seq < self.head) {
+            self.mem.pop_front();
+            popped += 1;
         }
-        // Bubble `i` (0-based within the stretch) dispatches in cycle
-        // `now + i / ipc` with seq `next_seq + 1 + i`; keep the last
-        // `kept_new` of them.
-        for i in (pushes - kept_new)..pushes {
-            self.window.push_back(Slot {
-                ready_at: now + i / n,
-                seq: self.next_seq + 1 + i,
-            });
-        }
-        self.next_seq += pushes;
+        self.ready.set(self.ready.get() - popped);
     }
 
     /// Zeroes retirement statistics (used after functional warmup so the
@@ -349,7 +396,7 @@ impl Core {
 
     /// Whether the in-order window holds no in-flight instructions.
     pub fn window_empty(&self) -> bool {
-        self.window.is_empty()
+        self.window_len() == 0
     }
 }
 
@@ -373,7 +420,7 @@ mod tests {
                 }
                 c.refill_pending();
                 if c.pending_access().is_none() {
-                    c.dispatch_bubble(now);
+                    c.dispatch_bubble();
                 }
             }
         }
@@ -408,7 +455,7 @@ mod tests {
             c.retire(now);
             while c.window_has_space() {
                 c.refill_pending();
-                c.dispatch_bubble(now);
+                c.dispatch_bubble();
             }
         }
         assert!(c.finished());
@@ -432,7 +479,7 @@ mod tests {
             if c.pending_access().is_some() {
                 c.dispatch_ready(now);
             } else {
-                c.dispatch_bubble(now);
+                c.dispatch_bubble();
             }
         }
         c.refill_pending(); // trace is dry now
@@ -448,6 +495,218 @@ mod tests {
         assert_eq!(c.inert_cycles(11), u64::MAX);
     }
 
+    /// A core driven the way the cluster drives it, against a memory
+    /// whose latencies the trace encodes: a load whose address has bit 0
+    /// set misses and fills `vaddr >> 8` cycles after dispatch (at least
+    /// one); any other load hits the LLC and is ready `vaddr >> 8` cycles
+    /// after dispatch; stores are ready at once.
+    struct Driven {
+        core: Core,
+        /// Outstanding fills: (due cycle, seq), in dispatch order.
+        fills: Vec<(CpuCycle, u64)>,
+        /// Completions delivered so far: (cycle, seq).
+        completed: Vec<(CpuCycle, u64)>,
+    }
+
+    impl Driven {
+        fn new(core: Core) -> Self {
+            Self {
+                core,
+                fills: Vec::new(),
+                completed: Vec::new(),
+            }
+        }
+
+        fn next_fill(&self) -> CpuCycle {
+            self.fills.iter().map(|f| f.0).min().unwrap_or(u64::MAX)
+        }
+
+        /// One cycle: deliver due fills, retire, dispatch up to `ipc`.
+        fn step(&mut self, now: CpuCycle) {
+            let (due, rest): (Vec<_>, Vec<_>) = self.fills.iter().partition(|f| f.0 <= now);
+            self.fills = rest;
+            for (_, seq) in due {
+                self.core.complete(seq, now);
+                self.completed.push((now, seq));
+            }
+            self.core.retire(now);
+            for _ in 0..self.core.ipc {
+                if !self.core.window_has_space() {
+                    break;
+                }
+                self.core.refill_pending();
+                if self.core.trace_fault().is_some() {
+                    break;
+                }
+                match self.core.pending_access() {
+                    None => self.core.dispatch_bubble(),
+                    Some(a) if a.is_write => self.core.dispatch_ready(now),
+                    Some(a) if a.vaddr & 1 == 0 => self.core.dispatch_ready(now + (a.vaddr >> 8)),
+                    Some(a) => {
+                        let seq = self.core.dispatch_waiting();
+                        self.fills.push((now + (a.vaddr >> 8).max(1), seq));
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_same(stepped: &Driven, replayed: &Driven, now: CpuCycle) {
+        let (a, b) = (&stepped.core, &replayed.core);
+        let state = |c: &Core| {
+            (
+                c.retired,
+                c.finish_cycle,
+                c.window_len(),
+                c.next_seq,
+                c.pending_bubbles,
+                c.mem.iter().copied().collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(state(a), state(b), "diverged by cycle {now}");
+        assert_eq!(stepped.completed, replayed.completed, "by cycle {now}");
+    }
+
+    /// Runs two cores over `trace()` for `cycles` cycles: one steps every
+    /// cycle, the other replays whatever [`Core::inert_cycles`] allows,
+    /// up to the next fill. Returns the cycles replayed while a load
+    /// was waiting in the window, which demanding the whole window ready
+    /// would have stepped.
+    fn replay_matches_stepping(
+        trace: impl Fn() -> Box<dyn TraceSource>,
+        target: u64,
+        cycles: u64,
+    ) -> u64 {
+        let mut stepped = Driven::new(Core::new(trace(), 4, 128, target));
+        let mut replayed = Driven::new(Core::new(trace(), 4, 128, target));
+        let mut behind_waiting = 0;
+        let mut now = 0;
+        while now < cycles {
+            let next_fill = replayed.next_fill();
+            let k = if next_fill <= now {
+                0
+            } else {
+                replayed
+                    .core
+                    .inert_cycles(now)
+                    .min(next_fill - now)
+                    .min(cycles - now)
+            };
+            if k == 0 {
+                stepped.step(now);
+                replayed.step(now);
+                now += 1;
+            } else {
+                if replayed.core.mem.iter().any(|s| s.ready_at == WAITING) {
+                    behind_waiting += k;
+                }
+                replayed.core.advance_inert(now, k);
+                for c in now..now + k {
+                    stepped.step(c);
+                }
+                now += k;
+            }
+            assert_same(&stepped, &replayed, now);
+        }
+        behind_waiting
+    }
+
+    fn latency_addr(cycles: u64, miss: bool) -> u64 {
+        (cycles << 8) | u64::from(miss)
+    }
+
+    fn random_entries(seed: u64, records: usize) -> Vec<TraceEntry> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..records)
+            .map(|_| {
+                let bubbles = if rng.gen_bool(0.1) {
+                    rng.gen_range(40..400u32)
+                } else {
+                    rng.gen_range(0..8u32)
+                };
+                match rng.gen_range(0..10u32) {
+                    0 => TraceEntry::bubbles(bubbles.max(1)),
+                    1..=3 => TraceEntry::store(bubbles, 0),
+                    4..=6 => TraceEntry::load(bubbles, latency_addr(rng.gen_range(0..30), false)),
+                    _ => TraceEntry::load(bubbles, latency_addr(rng.gen_range(1..600), true)),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replay_equals_stepping_on_random_traces() {
+        for seed in 1..=6 {
+            let entries = random_entries(seed, 4_000);
+            replay_matches_stepping(
+                || Box::new(LoopedTrace::new(entries.clone())),
+                40_000,
+                80_000,
+            );
+        }
+    }
+
+    #[test]
+    fn replay_runs_past_a_waiting_load_deep_in_a_full_window() {
+        // A waiting load at the head, then one 100 slots behind it: the
+        // window fills and stalls on the head. Once the head fills, the
+        // 100 ready slots ahead of the second load retire in closed form.
+        let mut entries = vec![
+            TraceEntry::load(0, latency_addr(3_000, true)),
+            TraceEntry::load(99, latency_addr(6_000, true)),
+            TraceEntry::bubbles(20_000),
+        ];
+        entries.extend(random_entries(7, 2_000));
+        let behind = replay_matches_stepping(
+            || Box::new(LoopedTrace::new(entries.clone())),
+            60_000,
+            30_000,
+        );
+        assert!(
+            behind >= 20,
+            "replayed {behind} cycles behind a waiting load"
+        );
+    }
+
+    #[test]
+    fn replay_stops_short_of_the_target() {
+        // 501 is not a multiple of the width: the target falls inside a
+        // would-be stretch, and the finishing cycle must be stepped.
+        replay_matches_stepping(
+            || Box::new(LoopedTrace::new(vec![TraceEntry::bubbles(1_000)])),
+            501,
+            2_000,
+        );
+        let entries = random_entries(8, 3_000);
+        for target in [997, 4_001, 12_345] {
+            replay_matches_stepping(
+                || Box::new(LoopedTrace::new(entries.clone())),
+                target,
+                40_000,
+            );
+        }
+    }
+
+    #[test]
+    fn replay_equals_stepping_on_a_parked_core() {
+        use crate::trace::IterTrace;
+        let entries = random_entries(9, 300);
+        let trace = || -> Box<dyn TraceSource> {
+            Box::new(IterTrace::try_new(entries.clone().into_iter()).unwrap())
+        };
+        replay_matches_stepping(trace, 1_000_000, 60_000);
+        let mut c = Core::new(trace(), 4, 128, 1_000_000);
+        let mut d = Driven::new(c);
+        for now in 0..60_000 {
+            d.step(now);
+        }
+        c = d.core;
+        assert!(c.trace_fault().is_some() && c.window_empty());
+        assert_eq!(c.inert_cycles(60_000), u64::MAX);
+    }
+
     #[test]
     fn window_capacity_respected() {
         let mut c = core(vec![TraceEntry::bubbles(1000)], 1000);
@@ -456,7 +715,7 @@ mod tests {
                 break;
             }
             c.refill_pending();
-            c.dispatch_bubble(0);
+            c.dispatch_bubble();
         }
         assert!(!c.window_has_space());
     }

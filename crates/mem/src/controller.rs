@@ -115,11 +115,13 @@ pub struct MemController {
     forced_restore: Vec<(u32, u32, u32)>,
     /// Open activations, for O(open) policy scans: (rank, bank, subarray).
     open_list: Vec<(u32, u32, u32)>,
-    /// Which request id opened each subarray (for hit/miss accounting).
-    opener: std::collections::HashMap<(u32, u32, u32), u64>,
-    /// Column commands served since activation, per subarray (for the
-    /// FR-FCFS cap).
-    served: std::collections::HashMap<(u32, u32, u32), u32>,
+    /// Which request id opened each subarray (for hit/miss accounting),
+    /// indexed by [`MemController::sa_slot`].
+    opener: Vec<Option<u64>>,
+    /// Column commands served since the subarray's last activation (for
+    /// the FR-FCFS cap), indexed by [`MemController::sa_slot`]; 0 for a
+    /// subarray never activated.
+    served: Vec<u32>,
     next_ref: Vec<Cycle>,
     refresh_pending: Vec<bool>,
     /// Round-robin bank counter for per-bank refresh.
@@ -207,6 +209,7 @@ impl MemController {
         let trefi = u64::from(dram_cfg.timings.trefi);
         let ranks = dram_cfg.ranks as usize;
         let slots = (dram_cfg.ranks * dram_cfg.banks) as usize;
+        let subarrays = slots * dram_cfg.subarrays_per_bank() as usize;
         Ok(Self {
             cfg,
             dram_cfg,
@@ -227,8 +230,8 @@ impl MemController {
             copy_ops: VecDeque::with_capacity(16),
             forced_restore: Vec::new(),
             open_list: Vec::new(),
-            opener: std::collections::HashMap::new(),
-            served: std::collections::HashMap::new(),
+            opener: vec![None; subarrays],
+            served: vec![0; subarrays],
             next_ref: vec![trefi; ranks],
             refresh_pending: vec![false; ranks],
             refresh_bank: vec![0; ranks],
@@ -310,6 +313,12 @@ impl MemController {
 
     fn slot_of(&self, rank: u32, bank: u32) -> usize {
         (rank * self.dram_cfg.banks + bank) as usize
+    }
+
+    /// Index of a (rank, bank, subarray) in `opener` and `served`.
+    fn sa_slot(&self, rank: u32, bank: u32, sa: u32) -> usize {
+        (rank * self.dram_cfg.banks + bank) as usize * self.dram_cfg.subarrays_per_bank() as usize
+            + sa as usize
     }
 
     fn kind_ix(kind: ReqKind) -> usize {
@@ -752,7 +761,8 @@ impl MemController {
             let key = (rank, bank, c.subarray);
             Self::drop_tracking_entry(&mut self.open_list, key);
             Self::drop_tracking_entry(&mut self.forced_restore, key);
-            self.opener.remove(&key);
+            let i = self.sa_slot(rank, bank, c.subarray);
+            self.opener[i] = None;
             if let (Some(crow), OpenRow::Pair { row, .. }) = (self.crow.as_mut(), c.open) {
                 let cb = rank * self.dram_cfg.banks + bank;
                 crow.on_precharge(cb, c.subarray, row, c.restore == RestoreState::Full);
@@ -1241,13 +1251,13 @@ impl MemController {
                 SchedKind::Fcfs => 1,
                 SchedKind::FrFcfs => u8::from(!hit),
                 SchedKind::FrFcfsCap { cap } => {
-                    let sa = self.subarray_of(req.row);
-                    let count = self
-                        .served
-                        .get(&(req.rank, req.bank, sa))
-                        .copied()
-                        .unwrap_or(0);
-                    u8::from(!(hit && count < cap))
+                    // Only a served request's row addresses a real
+                    // subarray, so the count is read only for hits.
+                    let under_cap = || {
+                        let sa = self.subarray_of(req.row);
+                        self.served[self.sa_slot(req.rank, req.bank, sa)] < cap
+                    };
+                    u8::from(!(hit && under_cap()))
                 }
             };
             order.push((prio, req.arrival, i));
@@ -1312,8 +1322,7 @@ impl MemController {
                     SchedKind::Fcfs => 1,
                     SchedKind::FrFcfs => 0,
                     SchedKind::FrFcfsCap { cap } => {
-                        let count = self.served.get(&(rank, bank, *sa)).copied().unwrap_or(0);
-                        u8::from(count >= cap)
+                        u8::from(self.served[self.sa_slot(rank, bank, *sa)] >= cap)
                     }
                 };
                 cursors.push(Cursor {
@@ -1582,14 +1591,15 @@ impl MemController {
         }
         // PARA/TRR mitigation baselines sample demand activations.
         self.observe_demand_act(req.rank, req.bank, req.row);
+        let i = self.sa_slot(req.rank, req.bank, sa);
         if is_restore {
             self.forced_restore
                 .push((req.rank, req.bank, restore_sa.unwrap_or(sa)));
         } else {
             self.stats.row_misses += 1;
-            self.opener.insert((req.rank, req.bank, sa), req.id);
+            self.opener[i] = Some(req.id);
         }
-        self.served.insert((req.rank, req.bank, sa), 0);
+        self.served[i] = 0;
         true
     }
 
@@ -1611,14 +1621,14 @@ impl MemController {
             return false;
         }
         let fx = self.issue(&d, now, Some(req.row));
-        *self.served.entry((req.rank, req.bank, sa)).or_insert(0) += 1;
+        let i = self.sa_slot(req.rank, req.bank, sa);
+        self.served[i] += 1;
         // Hit/miss accounting: the request that opened the row already
         // counted a miss.
-        match self.opener.get(&(req.rank, req.bank, sa)) {
-            Some(&id) if id == req.id => {
-                self.opener.remove(&(req.rank, req.bank, sa));
-            }
-            _ => self.stats.row_hits += 1,
+        if self.opener[i] == Some(req.id) {
+            self.opener[i] = None;
+        } else {
+            self.stats.row_hits += 1;
         }
         match kind {
             ReqKind::Read => {
@@ -1792,7 +1802,8 @@ impl MemController {
                     let key = (d.rank, d.bank, closed.subarray);
                     Self::drop_tracking_entry(&mut self.open_list, key);
                     Self::drop_tracking_entry(&mut self.forced_restore, key);
-                    self.opener.remove(&key);
+                    let i = self.sa_slot(d.rank, d.bank, closed.subarray);
+                    self.opener[i] = None;
                     let cb = d.rank * self.dram_cfg.banks + d.bank;
                     if let (Some(crow), OpenRow::Pair { row, .. }) =
                         (self.crow.as_mut(), closed.open)

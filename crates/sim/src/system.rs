@@ -55,6 +55,9 @@ pub struct System {
     pub(crate) mapper: AddrMapper,
     pub(crate) cpu_cycle: u64,
     pub(crate) mem_cycle: u64,
+    /// CPU cycles that went through [`System::step`] rather than a
+    /// closed-form skip (see [`System::stepped_cycles`]).
+    stepped_cycles: u64,
     clock_accum: u64,
     completions: Vec<Completion>,
     vrt_rng: StdRng,
@@ -257,6 +260,7 @@ impl System {
             mapper,
             cpu_cycle: 0,
             mem_cycle: 0,
+            stepped_cycles: 0,
             clock_accum: 0,
             completions: Vec::with_capacity(64),
             vrt_rng,
@@ -381,6 +385,14 @@ impl System {
         &self.mcs
     }
 
+    /// CPU cycles stepped one at a time so far; the rest of
+    /// [`SimReport::cpu_cycles`] was fast-forwarded in closed form. A
+    /// deterministic measure of engine work, kept out of the report so
+    /// journals do not depend on it.
+    pub fn stepped_cycles(&self) -> u64 {
+        self.stepped_cycles
+    }
+
     /// Direct access to the active attack scenario's state
     /// (tests/diagnostics); `None` when no scenario is configured.
     pub fn hammer_state(&self) -> Option<&HammerState> {
@@ -428,6 +440,7 @@ impl System {
         };
         self.cluster.cycle(self.cpu_cycle, &mut router);
         self.cpu_cycle += 1;
+        self.stepped_cycles += 1;
     }
 
     /// Delivers one due aggressor request to its channel's controller
@@ -451,10 +464,12 @@ impl System {
     }
 
     /// How many CPU cycles (starting at the current one) the whole
-    /// system can provably fast-forward: the cluster is inert, no
-    /// periodic or aggressor injection is due, and no skipped memory
-    /// tick would reach a controller's next event. 0 means the next
-    /// cycle must step.
+    /// system can provably fast-forward: the cluster is inert (every core
+    /// stalled or retiring a ready prefix of its window, see
+    /// [`CpuCluster::inert_cycles`]), no periodic or aggressor injection
+    /// is due, and no skipped memory tick would reach a controller's next
+    /// event. 0 means the next cycle must step. The cluster's answer is
+    /// O(1) per core, so this runs on every engine-loop iteration.
     fn idle_skip(&self, max_cpu_cycles: u64) -> u64 {
         let inert = self.cluster.inert_cycles(self.cpu_cycle);
         if inert == 0 {

@@ -244,3 +244,36 @@ fn multicore_mix_matches() {
         );
     }
 }
+
+/// Share of CPU cycles the event-driven engine stepped one at a time, on
+/// the paper platform (4 channels, 8 MiB LLC) after a functional warmup.
+fn stepped_share(mechanism: Mechanism, apps: &[&AppProfile], insts: u64) -> f64 {
+    let mut cfg = SystemConfig::paper_default(mechanism).with_llc_bytes(8 << 20);
+    cfg.engine = Engine::EventDriven;
+    cfg.mc.sched_impl = SchedImpl::Indexed;
+    cfg.cpu.target_insts = insts;
+    let mut sys = System::new(cfg, apps);
+    sys.warm(50_000);
+    let r = sys.run(u64::MAX);
+    assert!(r.finished);
+    sys.stepped_cycles() as f64 / r.cpu_cycles as f64
+}
+
+#[test]
+fn stepped_cycle_share_stays_bounded() {
+    // Counters, not wall-clock: the share of cycles that go through
+    // `System::step` instead of a closed-form skip. With mechanical
+    // stretches that only need their retiring prefix ready, omnetpp
+    // steps 10.0% of its cycles and the LLMM mix 11.6%; a core model
+    // that demands the whole window ready steps 22.7% and 42.6%. The
+    // bounds leave about three points of margin.
+    let omnetpp = stepped_share(
+        Mechanism::Baseline,
+        &[AppProfile::by_name("omnetpp").unwrap()],
+        200_000,
+    );
+    assert!(omnetpp < 0.13, "omnetpp stepped {omnetpp:.4} of its cycles");
+    let llmm = crow_workloads::mixes_for_group(crow_workloads::MixGroup::Llmm, 1, 1)[0];
+    let mix = stepped_share(Mechanism::crow_cache(8), &llmm, 100_000);
+    assert!(mix < 0.15, "the LLMM mix stepped {mix:.4} of its cycles");
+}
