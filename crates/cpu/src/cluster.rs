@@ -170,7 +170,9 @@ impl CpuCluster {
     /// dirty line the resulting fill evicts. The sampling fast-forward
     /// feeds these to the memory controllers so address-indexed DRAM
     /// state (the CROW table's install/eviction dynamics) keeps evolving
-    /// while timing simulation is suspended.
+    /// while timing simulation is suspended. Both run on a
+    /// [`CpuCluster::quiescent`] cluster: before the first cycle, or
+    /// after a drain.
     pub fn warm_with(&mut self, instructions: u64, miss: &mut dyn FnMut(u64)) {
         for i in 0..self.cores.len() {
             let mut done = 0u64;

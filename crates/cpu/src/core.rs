@@ -149,6 +149,7 @@ impl Core {
                 self.mem.pop_front();
                 self.ready.set(self.ready.get().saturating_sub(1));
             }
+            // Otherwise the head is a bubble, which is always ready.
             self.head += 1;
             self.retired += 1;
             if self.retired == self.target && self.finish_cycle.is_none() {

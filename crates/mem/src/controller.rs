@@ -317,8 +317,7 @@ impl MemController {
 
     /// Index of a (rank, bank, subarray) in `opener` and `served`.
     fn sa_slot(&self, rank: u32, bank: u32, sa: u32) -> usize {
-        (rank * self.dram_cfg.banks + bank) as usize * self.dram_cfg.subarrays_per_bank() as usize
-            + sa as usize
+        self.slot_of(rank, bank) * self.dram_cfg.subarrays_per_bank() as usize + sa as usize
     }
 
     fn kind_ix(kind: ReqKind) -> usize {
@@ -1251,13 +1250,10 @@ impl MemController {
                 SchedKind::Fcfs => 1,
                 SchedKind::FrFcfs => u8::from(!hit),
                 SchedKind::FrFcfsCap { cap } => {
-                    // Only a served request's row addresses a real
-                    // subarray, so the count is read only for hits.
-                    let under_cap = || {
-                        let sa = self.subarray_of(req.row);
-                        self.served[self.sa_slot(req.rank, req.bank, sa)] < cap
-                    };
-                    u8::from(!(hit && under_cap()))
+                    // Only a served request's row names a real subarray,
+                    // so the count is read only for hits.
+                    let sa = self.subarray_of(req.row);
+                    u8::from(!(hit && self.served[self.sa_slot(req.rank, req.bank, sa)] < cap))
                 }
             };
             order.push((prio, req.arrival, i));
