@@ -8,15 +8,25 @@
 //! fields and the scheduler work counters are left out, by the same rule
 //! as `engine_equivalence.rs`'s `normalize`.
 //!
-//! The fixture records the simulator's results and must not be
+//! The scheduler work counters (`sched`) are pinned on their own, in
+//! `fixtures/pinned/sched.jsonl`. They differ between scheduler
+//! implementations, but for this one fixed engine and scheduler they
+//! record when each controller ticked: a real tick scans and picks, a
+//! skipped one with requests queued counts a wakeup skip. So an engine
+//! change that moves a controller tick without moving any result fails
+//! here rather than only in the benchmark's digest.
+//!
+//! The fixtures record the simulator's results and must not be
 //! regenerated to make this test pass. On a mismatch the actual lines are
 //! written next to the test binary's scratch files for inspection.
 
 use crow_mem::SchedImpl;
 use crow_sim::{Engine, Journaled, Json, Mechanism, SamplePlan, System, SystemConfig};
 use crow_workloads::{mixes_for_group, AppProfile, MixGroup};
+use std::sync::OnceLock;
 
-const FIXTURE: &str = include_str!("fixtures/pinned/reports.jsonl");
+const REPORTS: &str = include_str!("fixtures/pinned/reports.jsonl");
+const SCHED: &str = include_str!("fixtures/pinned/sched.jsonl");
 
 /// Fields outside the pin: wall-clock measurements and scheduler work.
 const UNPINNED: [&str; 3] = ["wall_seconds", "sim_cycles_per_sec", "sched"];
@@ -41,8 +51,16 @@ fn config(mechanism: Mechanism) -> SystemConfig {
     cfg
 }
 
-/// One report's encoding with the unpinned fields removed.
-fn pinned_line(cfg: SystemConfig, apps: &[&AppProfile]) -> String {
+/// One pinned run: its label, the report's encoding without the
+/// unpinned fields, and the encoding of its `sched` counters.
+struct Pinned {
+    label: &'static str,
+    report: String,
+    sched: String,
+}
+
+/// Runs one configuration and encodes its pinned fields.
+fn pinned(label: &'static str, cfg: SystemConfig, apps: &[&AppProfile]) -> Pinned {
     let mut sys = System::new(cfg, apps);
     sys.warm(WARMUP);
     // Far beyond every run here: a core model that never reaches its
@@ -55,53 +73,77 @@ fn pinned_line(cfg: SystemConfig, apps: &[&AppProfile]) -> String {
     let Json::Obj(mut fields) = r.encode() else {
         panic!("a report encodes as an object")
     };
+    let sched = fields
+        .iter()
+        .find(|(k, _)| k == "sched")
+        .map(|(_, v)| v.render())
+        .expect("a report encodes its sched counters");
     fields.retain(|(k, _)| !UNPINNED.contains(&k.as_str()));
-    Json::Obj(fields).render()
+    Pinned {
+        label,
+        report: Json::Obj(fields).render(),
+        sched,
+    }
 }
 
-fn actual_lines() -> Vec<(&'static str, String)> {
+/// The four pinned runs, shared by both tests.
+fn runs() -> &'static [Pinned] {
+    static RUNS: OnceLock<Vec<Pinned>> = OnceLock::new();
+    RUNS.get_or_init(run_all)
+}
+
+fn run_all() -> Vec<Pinned> {
     let llmm = mixes_for_group(MixGroup::Llmm, 1, 1)[0];
     let mut sampled = config(Mechanism::crow_cache(8));
     sampled.sample = Some(SamplePlan::default_profile());
     sampled.cpu.target_insts = 2 * SamplePlan::default_profile().interval_insts();
     vec![
-        (
-            "mcf/Baseline",
-            pinned_line(config(Mechanism::Baseline), &[app("mcf")]),
-        ),
-        (
+        pinned("mcf/Baseline", config(Mechanism::Baseline), &[app("mcf")]),
+        pinned(
             "omnetpp/CROW-8",
-            pinned_line(config(Mechanism::crow_cache(8)), &[app("omnetpp")]),
+            config(Mechanism::crow_cache(8)),
+            &[app("omnetpp")],
         ),
-        (
-            "LLMM mix/CROW-8",
-            pinned_line(config(Mechanism::crow_cache(8)), &llmm),
-        ),
-        ("sampled libq/CROW-8", pinned_line(sampled, &[app("libq")])),
+        pinned("LLMM mix/CROW-8", config(Mechanism::crow_cache(8)), &llmm),
+        pinned("sampled libq/CROW-8", sampled, &[app("libq")]),
     ]
 }
 
-#[test]
-fn reports_match_the_pinned_fixture() {
-    let actual = actual_lines();
-    let pinned: Vec<&str> = FIXTURE.lines().collect();
+/// Compares one line per run with `fixture`; on a mismatch writes the
+/// actual lines to `name` in the scratch directory and panics.
+fn assert_matches(fixture: &str, name: &str, line: fn(&Pinned) -> &str) {
+    let actual = runs();
+    let pinned: Vec<&str> = fixture.lines().collect();
     let mismatched: Vec<&str> = actual
         .iter()
         .enumerate()
-        .filter(|(i, (_, line))| pinned.get(*i) != Some(&line.as_str()))
-        .map(|(_, (label, _))| *label)
+        .filter(|(i, run)| pinned.get(*i) != Some(&line(run)))
+        .map(|(_, run)| run.label)
         .collect();
     if mismatched.is_empty() && pinned.len() == actual.len() {
         return;
     }
-    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("pinned_reports.jsonl");
-    let text: String = actual.iter().map(|(_, l)| format!("{l}\n")).collect();
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let text: String = actual
+        .iter()
+        .map(|run| format!("{}\n", line(run)))
+        .collect();
     std::fs::write(&out, text).unwrap();
     panic!(
-        "reports moved from the pinned fixture ({} pinned, {} run); mismatched: {mismatched:?}; \
+        "runs moved from the pinned {name} ({} pinned, {} run); mismatched: {mismatched:?}; \
          actual lines written to {}",
         pinned.len(),
         actual.len(),
         out.display()
     );
+}
+
+#[test]
+fn reports_match_the_pinned_fixture() {
+    assert_matches(REPORTS, "reports.jsonl", |run| &run.report);
+}
+
+#[test]
+fn controller_tick_schedule_matches_the_pinned_fixture() {
+    assert_matches(SCHED, "sched.jsonl", |run| &run.sched);
 }
