@@ -119,6 +119,9 @@ pub struct BankState {
     pub next_act: Cycle,
     /// Number of subarrays currently holding an open row.
     pub open_count: u32,
+    /// The subarray the most recent `ACT` opened. While it is the only
+    /// open one, [`BankState::open_activation`] answers without a scan.
+    pub last_opened: u32,
 }
 
 impl BankState {
@@ -128,23 +131,29 @@ impl BankState {
             subarrays: vec![SubarrayState::default(); subarrays as usize],
             next_act: 0,
             open_count: 0,
+            last_opened: 0,
         }
     }
 
-    /// The single open activation of a commodity (non-SALP) bank, if any.
+    /// The open activation in the lowest-numbered subarray, if any: the
+    /// single open activation of a commodity (non-SALP) bank. O(1) while
+    /// only the most recently opened subarray holds a row; a scan
+    /// otherwise (SALP with several rows open).
     pub fn open_activation(&self) -> Option<(u32, &Activation)> {
+        if self.open_count == 1 {
+            let sa = self.last_opened;
+            if let Some(a) = self
+                .subarrays
+                .get(sa as usize)
+                .and_then(|s| s.open.as_ref())
+            {
+                return Some((sa, a));
+            }
+        }
         self.subarrays
             .iter()
             .enumerate()
             .find_map(|(i, s)| s.open.as_ref().map(|a| (i as u32, a)))
-    }
-
-    /// Mutable variant of [`BankState::open_activation`].
-    pub fn open_activation_mut(&mut self) -> Option<(u32, &mut Activation)> {
-        self.subarrays
-            .iter_mut()
-            .enumerate()
-            .find_map(|(i, s)| s.open.as_mut().map(|a| (i as u32, a)))
     }
 
     /// Whether any subarray holds an open row.
@@ -212,5 +221,42 @@ mod tests {
         assert_eq!(sa, 2);
         assert!(act.open.serves_regular(9));
         assert!(b.any_open());
+    }
+
+    #[test]
+    fn open_activation_matches_a_scan_as_rows_open_and_close() {
+        use rand::{Rng, SeedableRng};
+        let scan = |b: &BankState| {
+            b.subarrays
+                .iter()
+                .position(|s| s.open.is_some())
+                .map(|i| i as u32)
+        };
+        let act = |row| Activation {
+            open: OpenRow::Single(RowAddr::Regular(row)),
+            opened_at: 0,
+            ready_rd: 0,
+            ready_wr: 0,
+            min_pre: 0,
+            full_restore_at: 0,
+            last_use: 0,
+        };
+        // Opens and closes as `DramChannel::issue` does, several rows at
+        // once as under SALP, so the most recently opened subarray is
+        // sometimes closed while an older one stays open.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut b = BankState::new(8);
+        for step in 0..5_000u32 {
+            let sa = rng.gen_range(0..8u32);
+            let sub = &mut b.subarrays[sa as usize];
+            if sub.open.take().is_some() {
+                b.open_count -= 1;
+            } else {
+                sub.open = Some(act(step));
+                b.open_count += 1;
+                b.last_opened = sa;
+            }
+            assert_eq!(b.open_activation().map(|(i, _)| i), scan(&b), "step {step}");
+        }
     }
 }

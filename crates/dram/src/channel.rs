@@ -489,6 +489,7 @@ impl DramChannel {
                 let bank = &mut rank.banks[d.bank as usize];
                 bank.subarrays[sa as usize].open = Some(act);
                 bank.open_count += 1;
+                bank.last_opened = sa;
                 rank.next_act = rank.next_act.max(now + u64::from(t.trrd));
                 rank.next_act_group[group] =
                     rank.next_act_group[group].max(now + u64::from(t.trrd_l));

@@ -55,8 +55,8 @@ pub struct System {
     pub(crate) mapper: AddrMapper,
     pub(crate) cpu_cycle: u64,
     pub(crate) mem_cycle: u64,
-    /// CPU cycles that went through [`System::step`] rather than a
-    /// closed-form skip (see [`System::stepped_cycles`]).
+    /// CPU cycles that ran [`CpuCluster::cycle`] (see
+    /// [`System::stepped_cycles`]).
     stepped_cycles: u64,
     clock_accum: u64,
     completions: Vec<Completion>,
@@ -385,10 +385,11 @@ impl System {
         &self.mcs
     }
 
-    /// CPU cycles stepped one at a time so far; the rest of
-    /// [`SimReport::cpu_cycles`] was fast-forwarded in closed form. A
-    /// deterministic measure of engine work, kept out of the report so
-    /// journals do not depend on it.
+    /// CPU cycles in which the cluster was stepped
+    /// ([`CpuCluster::cycle`]) so far; the cluster replayed the rest of
+    /// [`SimReport::cpu_cycles`] in closed form, while the controllers
+    /// ticked on their own. A deterministic measure of engine work, kept
+    /// out of the report so journals do not depend on it.
     pub fn stepped_cycles(&self) -> u64 {
         self.stepped_cycles
     }
@@ -399,7 +400,9 @@ impl System {
         self.hammer.as_ref()
     }
 
-    /// Advances the system by one CPU cycle.
+    /// Advances the system by one CPU cycle: due injections, the memory
+    /// half ([`System::tick_memory`]), then the cluster half
+    /// ([`System::step_cluster`]).
     ///
     /// With `event_driven` set, memory ticks provably before a
     /// controller's next event are replaced by the equivalent background
@@ -410,28 +413,44 @@ impl System {
             self.inject_due();
         }
         self.poll_hammer();
+        self.tick_memory(event_driven);
+        self.step_cluster();
+    }
+
+    /// The memory half of a CPU cycle: advances the clock accumulator
+    /// and, in a cycle it yields a memory tick, ticks every controller
+    /// (or, under `event_driven`, charges a tick before the controller's
+    /// next event as idle). Completions wait in `self.completions` for
+    /// [`System::step_cluster`].
+    fn tick_memory(&mut self, event_driven: bool) {
         let (num, den) = SystemConfig::CLOCK_RATIO;
         self.clock_accum += den;
-        if self.clock_accum >= num {
-            self.clock_accum -= num;
-            let hammer = &mut self.hammer;
-            for (i, mc) in self.mcs.iter_mut().enumerate() {
-                if event_driven && self.mem_cycle < self.mc_next_event[i] {
-                    mc.skip_idle(1);
-                } else {
-                    mc.tick(self.mem_cycle, &mut self.completions);
-                    if let Some(hs) = hammer.as_mut() {
-                        hs.drain(i as u32, mc);
-                    }
-                    if event_driven {
-                        self.mc_next_event[i] = mc.min_wakeup(self.mem_cycle);
-                    }
+        if self.clock_accum < num {
+            return;
+        }
+        self.clock_accum -= num;
+        let hammer = &mut self.hammer;
+        for (i, mc) in self.mcs.iter_mut().enumerate() {
+            if event_driven && self.mem_cycle < self.mc_next_event[i] {
+                mc.skip_idle(1);
+            } else {
+                mc.tick(self.mem_cycle, &mut self.completions);
+                if let Some(hs) = hammer.as_mut() {
+                    hs.drain(i as u32, mc);
+                }
+                if event_driven {
+                    self.mc_next_event[i] = mc.min_wakeup(self.mem_cycle);
                 }
             }
-            self.mem_cycle += 1;
-            for c in self.completions.drain(..) {
-                self.cluster.on_completion(c.id, self.cpu_cycle);
-            }
+        }
+        self.mem_cycle += 1;
+    }
+
+    /// The cluster half of a CPU cycle: delivers the completions the
+    /// memory half collected, then runs the cores for one cycle.
+    fn step_cluster(&mut self) {
+        for c in self.completions.drain(..) {
+            self.cluster.on_completion(c.id, self.cpu_cycle);
         }
         let mut router = Router {
             mcs: &mut self.mcs,
@@ -463,52 +482,67 @@ impl System {
         }
     }
 
-    /// How many CPU cycles (starting at the current one) the whole
-    /// system can provably fast-forward: the cluster is inert (every core
-    /// stalled or retiring a ready prefix of its window, see
-    /// [`CpuCluster::inert_cycles`]), no periodic or aggressor injection
-    /// is due, and no skipped memory tick would reach a controller's next
-    /// event. 0 means the next cycle must step. The cluster's answer is
-    /// O(1) per core, so this runs on every engine-loop iteration.
-    fn idle_skip(&self, max_cpu_cycles: u64) -> u64 {
-        let inert = self.cluster.inert_cycles(self.cpu_cycle);
-        if inert == 0 {
-            return 0;
-        }
-        let now = self.cpu_cycle;
-        // 0 when a periodic injection is due this very cycle.
-        let mut k = inert
-            .min(max_cpu_cycles.saturating_sub(now))
-            .min(self.next_injection - now);
+    /// One iteration of the event-driven engine: a cycle stepped in
+    /// full, or a stretch in which only the controllers advance.
+    ///
+    /// The stretch runs from the current cycle up to the cluster's inert
+    /// horizon ([`CpuCluster::inert_cycles`]), capped at the run's cycle
+    /// limit, the next periodic injection and the next aggressor poll.
+    /// An inert cluster sends nothing to memory, so the controllers see
+    /// exactly the cycles a stepped cluster would show them: the memory
+    /// cycles before the next controller event are charged in closed
+    /// form, and due ticks run in the cycle they fall in. Completions
+    /// reach the cluster only through a tick, so the stretch ends in the
+    /// first cycle whose tick delivers one: the cluster replays the
+    /// cycles before it in closed form ([`CpuCluster::advance_inert`])
+    /// and steps that cycle. Otherwise it replays the whole stretch at
+    /// its end.
+    fn advance(&mut self, max_cpu_cycles: u64) {
+        let start = self.cpu_cycle;
+        let mut end = start
+            .saturating_add(self.cluster.inert_cycles(start))
+            .min(max_cpu_cycles)
+            .min(self.next_injection);
         if let Some(hs) = &self.hammer {
-            if hs.gen.due(now) {
-                return 0; // an aggressor injection is due this very cycle
-            }
-            k = k.min(hs.gen.next_boundary_in(now));
+            end = end.min(start + hs.gen.next_boundary_in(start));
         }
-        // Memory-side cap: the skipped span may contain only memory
-        // ticks strictly before the earliest controller event. Over `k`
-        // CPU cycles the accumulator produces
-        // `(clock_accum + den*k) / num` ticks, at cycles
-        // `mem_cycle ..`; bounding those below `mem_next` yields the
-        // largest admissible `k`.
+        if end == start {
+            self.step(true);
+            return;
+        }
+        loop {
+            self.skip_to_next_event(end);
+            if self.cpu_cycle == end {
+                break;
+            }
+            self.tick_memory(true);
+            if !self.completions.is_empty() {
+                self.cluster.advance_inert(start, self.cpu_cycle - start);
+                self.step_cluster();
+                return;
+            }
+            self.cpu_cycle += 1;
+        }
+        self.cluster.advance_inert(start, self.cpu_cycle - start);
+    }
+
+    /// Advances the clock towards `end` through the CPU cycles whose
+    /// memory ticks all fall strictly before the earliest controller
+    /// event, charging those ticks to every controller as idle
+    /// background time. It stops at `end`, or just before the cycle that
+    /// yields the due tick: over `k` CPU cycles the accumulator yields
+    /// `(clock_accum + den*k) / num` ticks, at memory cycles
+    /// `mem_cycle ..`, and bounding those below the earliest event gives
+    /// the largest `k`. The cluster is left to the caller.
+    fn skip_to_next_event(&mut self, end: u64) {
         let (num, den) = SystemConfig::CLOCK_RATIO;
         let mem_next = self.mc_next_event.iter().copied().min().unwrap_or(u64::MAX);
         let r = mem_next.saturating_sub(self.mem_cycle);
         let budget = num
             .saturating_mul(r.saturating_add(1))
             .saturating_sub(1 + self.clock_accum);
-        k.min(budget / den)
-    }
-
-    /// Fast-forwards `skip` cycles agreed by [`System::idle_skip`]:
-    /// advances inert cores in closed form, replays the clock
-    /// accumulator, and charges the skipped memory ticks as idle
-    /// background time.
-    fn apply_skip(&mut self, skip: u64) {
-        self.cluster.advance_inert(self.cpu_cycle, skip);
-        let (num, den) = SystemConfig::CLOCK_RATIO;
-        let total = self.clock_accum + den * skip;
+        let k = (budget / den).min(end - self.cpu_cycle);
+        let total = self.clock_accum + den * k;
         let mem_ticks = total / num;
         self.clock_accum = total % num;
         if mem_ticks > 0 {
@@ -517,7 +551,7 @@ impl System {
             }
             self.mem_cycle += mem_ticks;
         }
-        self.cpu_cycle += skip;
+        self.cpu_cycle += k;
     }
 
     /// Runs until every core reaches its instruction target or
@@ -569,12 +603,7 @@ impl System {
             }
             Engine::EventDriven => {
                 while !self.cluster.done() && self.cpu_cycle < max_cpu_cycles {
-                    let skip = self.idle_skip(max_cpu_cycles);
-                    if skip > 0 {
-                        self.apply_skip(skip);
-                    } else {
-                        self.step(true);
-                    }
+                    self.advance(max_cpu_cycles);
                 }
             }
         }
