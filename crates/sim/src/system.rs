@@ -418,10 +418,8 @@ impl System {
     }
 
     /// The memory half of a CPU cycle: advances the clock accumulator
-    /// and, in a cycle it yields a memory tick, ticks every controller
-    /// (or, under `event_driven`, charges a tick before the controller's
-    /// next event as idle). Completions wait in `self.completions` for
-    /// [`System::step_cluster`].
+    /// and, if it yields a memory tick, ticks every controller.
+    /// Completions wait in `self.completions` for the cluster half.
     fn tick_memory(&mut self, event_driven: bool) {
         let (num, den) = SystemConfig::CLOCK_RATIO;
         self.clock_accum += den;
@@ -482,21 +480,14 @@ impl System {
         }
     }
 
-    /// One iteration of the event-driven engine: a cycle stepped in
-    /// full, or a stretch in which only the controllers advance.
-    ///
-    /// The stretch runs from the current cycle up to the cluster's inert
-    /// horizon ([`CpuCluster::inert_cycles`]), capped at the run's cycle
-    /// limit, the next periodic injection and the next aggressor poll.
-    /// An inert cluster sends nothing to memory, so the controllers see
-    /// exactly the cycles a stepped cluster would show them: the memory
-    /// cycles before the next controller event are charged in closed
-    /// form, and due ticks run in the cycle they fall in. Completions
-    /// reach the cluster only through a tick, so the stretch ends in the
-    /// first cycle whose tick delivers one: the cluster replays the
-    /// cycles before it in closed form ([`CpuCluster::advance_inert`])
-    /// and steps that cycle. Otherwise it replays the whole stretch at
-    /// its end.
+    /// One iteration of the event-driven engine (DESIGN §3.10): a cycle
+    /// stepped in full, or a stretch up to the cluster's inert horizon
+    /// (capped at the cycle limit, the next injection and the next
+    /// aggressor poll) in which only the controllers advance. An inert
+    /// cluster sends nothing to memory and hears from it only through a
+    /// tick, so the stretch ends in the first cycle whose tick delivers a
+    /// completion: the cluster replays the cycles before it in closed
+    /// form and steps that one.
     fn advance(&mut self, max_cpu_cycles: u64) {
         let start = self.cpu_cycle;
         let mut end = start
@@ -526,14 +517,12 @@ impl System {
         self.cluster.advance_inert(start, self.cpu_cycle - start);
     }
 
-    /// Advances the clock towards `end` through the CPU cycles whose
-    /// memory ticks all fall strictly before the earliest controller
-    /// event, charging those ticks to every controller as idle
-    /// background time. It stops at `end`, or just before the cycle that
-    /// yields the due tick: over `k` CPU cycles the accumulator yields
-    /// `(clock_accum + den*k) / num` ticks, at memory cycles
-    /// `mem_cycle ..`, and bounding those below the earliest event gives
-    /// the largest `k`. The cluster is left to the caller.
+    /// Advances the clock towards `end`, stopping just before the cycle
+    /// that yields the next due controller tick, and charges the memory
+    /// ticks on the way to every controller as idle. Over `k` CPU cycles
+    /// the accumulator yields `(clock_accum + den*k) / num` ticks, at
+    /// memory cycles `mem_cycle ..`; bounding those below the earliest
+    /// event gives the largest `k`.
     fn skip_to_next_event(&mut self, end: u64) {
         let (num, den) = SystemConfig::CLOCK_RATIO;
         let mem_next = self.mc_next_event.iter().copied().min().unwrap_or(u64::MAX);
