@@ -121,7 +121,7 @@ pub struct BankState {
     pub open_count: u32,
     /// The subarray the most recent `ACT` opened. While it is the only
     /// open one, [`BankState::open_activation`] answers without a scan.
-    pub last_opened: u32,
+    pub(crate) last_opened: u32,
 }
 
 impl BankState {

@@ -135,12 +135,6 @@ impl AggressorGen {
         self.interval
     }
 
-    /// True when this cycle must poll the generator (a retry is pending
-    /// or the injection grid is due) — the idle-skip gate.
-    pub fn due(&self, now: u64) -> bool {
-        self.pending.is_some() || now >= self.next_at
-    }
-
     /// CPU cycles until the next mandatory poll (0 when due now).
     pub fn next_boundary_in(&self, now: u64) -> u64 {
         if self.pending.is_some() {
@@ -268,8 +262,11 @@ mod tests {
         let first = g.poll(interval).expect("due at the first grid point");
         assert!(g.next_boundary_in(interval) == 0 || g.pending.is_none());
         g.requeue(first);
-        assert!(g.due(interval), "a pending retry forces polling");
-        assert_eq!(g.next_boundary_in(interval), 0);
+        assert_eq!(
+            g.next_boundary_in(interval),
+            0,
+            "a pending retry forces polling"
+        );
         let retried = g.poll(interval + 1).expect("retry is served first");
         assert_eq!(retried.row, 99);
         g.note_injected();

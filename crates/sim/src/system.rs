@@ -403,11 +403,6 @@ impl System {
     /// Advances the system by one CPU cycle: due injections, the memory
     /// half ([`System::tick_memory`]), then the cluster half
     /// ([`System::step_cluster`]).
-    ///
-    /// With `event_driven` set, memory ticks provably before a
-    /// controller's next event are replaced by the equivalent background
-    /// accounting ([`MemController::skip_idle`]); everything else is
-    /// stepped identically to the naive engine.
     pub(crate) fn step(&mut self, event_driven: bool) {
         if self.cpu_cycle == self.next_injection {
             self.inject_due();
@@ -420,6 +415,10 @@ impl System {
     /// The memory half of a CPU cycle: advances the clock accumulator
     /// and, if it yields a memory tick, ticks every controller.
     /// Completions wait in `self.completions` for the cluster half.
+    ///
+    /// With `event_driven` set, a tick provably before a controller's
+    /// next event is replaced by the equivalent background accounting
+    /// ([`MemController::skip_idle`]).
     fn tick_memory(&mut self, event_driven: bool) {
         let (num, den) = SystemConfig::CLOCK_RATIO;
         self.clock_accum += den;

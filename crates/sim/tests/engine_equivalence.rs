@@ -246,7 +246,8 @@ fn multicore_mix_matches() {
 }
 
 /// Share of CPU cycles in which the event-driven engine stepped the
-/// cluster (`System::stepped_cycles`), on the paper platform (4 channels, 8 MiB LLC) after a functional warmup.
+/// cluster (`System::stepped_cycles`), on the paper platform (4
+/// channels, 8 MiB LLC) after a functional warmup.
 fn stepped_share(mechanism: Mechanism, apps: &[&AppProfile], insts: u64) -> f64 {
     let mut cfg = SystemConfig::paper_default(mechanism).with_llc_bytes(8 << 20);
     cfg.engine = Engine::EventDriven;
@@ -254,7 +255,9 @@ fn stepped_share(mechanism: Mechanism, apps: &[&AppProfile], insts: u64) -> f64 
     cfg.cpu.target_insts = insts;
     let mut sys = System::new(cfg, apps);
     sys.warm(50_000);
-    let r = sys.run(u64::MAX);
+    // Far beyond either run: an engine that loses a completion fails
+    // here instead of hanging.
+    let r = sys.run(50_000_000);
     assert!(r.finished);
     sys.stepped_cycles() as f64 / r.cpu_cycles as f64
 }

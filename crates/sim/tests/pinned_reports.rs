@@ -16,9 +16,12 @@
 //! change that moves a controller tick without moving any result fails
 //! here rather than only in the benchmark's digest.
 //!
-//! The fixtures record the simulator's results and must not be
-//! regenerated to make this test pass. On a mismatch the actual lines are
-//! written next to the test binary's scratch files for inspection.
+//! `reports.jsonl` records the simulator's results and must not be
+//! regenerated to make this test pass. `sched.jsonl` records scheduler
+//! work, not results: only a change that sets out to alter that work
+//! (and leaves `reports.jsonl` matching) regenerates it, and says so. On
+//! a mismatch the actual lines are written next to the test binary's
+//! scratch files for inspection.
 
 use crow_mem::SchedImpl;
 use crow_sim::{Engine, Journaled, Json, Mechanism, SamplePlan, System, SystemConfig};
