@@ -63,6 +63,18 @@ pub struct CpuCluster {
     /// dispatch, no prefetch training): the cluster drains toward
     /// [`CpuCluster::quiescent`] without creating new memory traffic.
     fetch_frozen: bool,
+    /// Per core, the first cycle not yet applied to it. A core behind
+    /// the cluster's clock is *deferred*: it is known inert from
+    /// `local` up to `inert_until`, and replays that gap in closed form
+    /// ([`Core::advance_inert`]) only when it is next read or changed.
+    local: Vec<CpuCycle>,
+    /// Per core, the end of its known inert stretch (`local` when
+    /// nothing is known). [`CpuCluster::cycle`] skips a core whose
+    /// horizon is still ahead; `local <= inert_until` always holds.
+    inert_until: Vec<CpuCycle>,
+    /// Core-cycles that ran `core_cycle` (see
+    /// [`CpuCluster::stepped_core_cycles`]).
+    stepped_core_cycles: u64,
 }
 
 impl CpuCluster {
@@ -103,6 +115,9 @@ impl CpuCluster {
             demand_reads_sent: 0,
             writebacks_sent: 0,
             fetch_frozen: false,
+            local: vec![0; n],
+            inert_until: vec![0; n],
+            stepped_core_cycles: 0,
             cfg,
         }
     }
@@ -153,9 +168,18 @@ impl CpuCluster {
         self.cores[core].ipc_value()
     }
 
-    /// Per-core demand MPKI.
+    /// Per-core demand MPKI. A deferred core's retired count lags, so
+    /// the cluster must be settled ([`CpuCluster::settle`]).
     pub fn mpki(&self, core: usize) -> f64 {
+        debug_assert!(self.settled(), "MPKI read from an unsettled cluster");
         self.cores[core].mpki()
+    }
+
+    /// Core-cycles that ran through the per-core step of
+    /// [`CpuCluster::cycle`]; every other core-cycle was skipped as
+    /// inert and replayed in closed form.
+    pub fn stepped_core_cycles(&self) -> u64 {
+        self.stepped_core_cycles
     }
 
     /// Warms the LLC and page tables by functionally replaying
@@ -174,6 +198,7 @@ impl CpuCluster {
     /// [`CpuCluster::quiescent`] cluster: before the first cycle, or
     /// after a drain.
     pub fn warm_with(&mut self, instructions: u64, miss: &mut dyn FnMut(u64)) {
+        debug_assert!(self.settled(), "functional warmup with deferred cores");
         for i in 0..self.cores.len() {
             let mut done = 0u64;
             // One-entry TLB: translate() is a hash lookup per access and
@@ -247,6 +272,7 @@ impl CpuCluster {
     /// sampling driver freezes between a measured window and a
     /// functional fast-forward.
     pub fn set_fetch_frozen(&mut self, frozen: bool) {
+        debug_assert!(self.settled(), "fetch frozen with deferred cores");
         self.fetch_frozen = frozen;
     }
 
@@ -264,6 +290,7 @@ impl CpuCluster {
     /// reset and a fresh per-core target of `insts` armed (see
     /// [`Core::begin_phase`]).
     pub fn begin_phase(&mut self, insts: u64) {
+        debug_assert!(self.settled(), "phase begun with deferred cores");
         for c in &mut self.cores {
             c.begin_phase(insts);
         }
@@ -274,7 +301,9 @@ impl CpuCluster {
         self.cores[core].finish_cycle()
     }
 
-    /// Advances every core by one CPU cycle.
+    /// Advances the cluster by one CPU cycle. A core whose inert horizon
+    /// is still ahead is skipped: its cycle would touch nothing another
+    /// core sees, and it replays the cycle in closed form later.
     pub fn cycle(&mut self, now: CpuCycle, mem: &mut dyn MemPort) {
         // Retry queued writebacks first (they block LLC fills).
         while let Some(&(core, line)) = self.pending_writebacks.front() {
@@ -297,7 +326,14 @@ impl CpuCluster {
         for k in 0..n {
             // Rotate priority so no core monopolizes the LLC/memory path.
             let i = (k + now as usize) % n;
+            if self.inert_until[i] > now {
+                continue;
+            }
+            self.settle_core(i, now);
             self.core_cycle(i, now, mem);
+            self.local[i] = now + 1;
+            self.inert_until[i] = now + 1;
+            self.stepped_core_cycles += 1;
         }
     }
 
@@ -423,6 +459,7 @@ impl CpuCluster {
             self.pending_writebacks.push_back((entry.initiator, wb));
         }
         for (core, seq) in entry.waiters {
+            self.settle_core(core as usize, now);
             self.cores[core as usize].complete(seq, now);
         }
         self.mshr_used[entry.initiator as usize] -= 1;
@@ -439,37 +476,61 @@ impl CpuCluster {
     /// bubble stretch, retiring window slots that are already ready while
     /// loads further back may still wait (see [`Core::inert_cycles`]).
     /// Those cycles touch neither the LLC, the page tables, the
-    /// prefetcher, nor the memory system, so the simulator may replay
-    /// them in closed form with [`CpuCluster::advance_inert`] — provided
-    /// no memory completion is delivered inside the window.
+    /// prefetcher, nor the memory system, so the simulator may skip
+    /// them, provided no memory completion is delivered inside the
+    /// window.
+    ///
+    /// Only the horizons that have come are recomputed (each such core
+    /// is settled to `now` first); the others are still valid, so a
+    /// stall followed by a mechanical stretch chains without a step.
     ///
     /// Returns 0 if the next cycle must run normally; `u64::MAX` means
     /// inert until an external completion arrives.
-    pub fn inert_cycles(&self, now: CpuCycle) -> u64 {
-        if self.fetch_frozen {
+    pub fn inert_cycles(&mut self, now: CpuCycle) -> u64 {
+        if self.fetch_frozen || !self.pending_writebacks.is_empty() {
             return 0;
         }
-        if !self.pending_writebacks.is_empty() {
-            return 0;
-        }
-        let mut k = u64::MAX;
-        for core in &self.cores {
-            k = k.min(core.inert_cycles(now));
-            if k == 0 {
-                return 0;
+        let mut until = CpuCycle::MAX;
+        for i in 0..self.cores.len() {
+            if self.inert_until[i] <= now {
+                self.settle_core(i, now);
+                self.inert_until[i] = now.saturating_add(self.cores[i].inert_cycles(now));
             }
+            until = until.min(self.inert_until[i]);
         }
-        k
+        if until == CpuCycle::MAX {
+            u64::MAX
+        } else {
+            until - now
+        }
     }
 
-    /// Replays `k` cycles agreed inert by [`CpuCluster::inert_cycles`]
-    /// on every core (stalled cores are untouched; mechanical cores
-    /// retire and dispatch in closed form, at a cost of the memory slots
-    /// they retire rather than of `k`).
-    pub fn advance_inert(&mut self, now: CpuCycle, k: u64) {
-        for core in &mut self.cores {
-            core.advance_inert(now, k);
+    /// Brings every core to `now` and expires every horizon. The
+    /// simulator settles at run end and around phase changes, before it
+    /// reads per-core statistics or freezes fetch.
+    pub fn settle(&mut self, now: CpuCycle) {
+        for i in 0..self.cores.len() {
+            self.settle_core(i, now);
         }
+    }
+
+    /// Replays core `i`'s deferred inert cycles up to `now` and expires
+    /// its horizon.
+    fn settle_core(&mut self, i: usize, now: CpuCycle) {
+        let local = self.local[i];
+        debug_assert!(
+            local <= now && now <= self.inert_until[i],
+            "core {i} settled at {now} outside its inert stretch {local}..={}",
+            self.inert_until[i]
+        );
+        self.cores[i].advance_inert(local, now - local);
+        self.local[i] = now;
+        self.inert_until[i] = now;
+    }
+
+    /// Whether no core is deferred.
+    fn settled(&self) -> bool {
+        self.local == self.inert_until
     }
 }
 
@@ -487,9 +548,12 @@ mod tests {
     use super::*;
     use crate::trace::{LoopedTrace, TraceEntry};
 
-    /// Memory that completes every read after a fixed delay.
+    /// Memory that completes every read after a fixed delay, plus up to
+    /// `spread` cycles drawn from a hash of the request id (so two
+    /// clusters sending the same requests see the same latencies).
     struct FixedLatency {
         delay: u64,
+        spread: u64,
         now: u64,
         inflight: Vec<(u64, u64)>,
         capacity: usize,
@@ -498,13 +562,23 @@ mod tests {
 
     impl FixedLatency {
         fn new(delay: u64) -> Self {
+            Self::random(delay, 0)
+        }
+
+        fn random(delay: u64, spread: u64) -> Self {
             Self {
                 delay,
+                spread,
                 now: 0,
                 inflight: Vec::new(),
                 capacity: 32,
                 sent: 0,
             }
+        }
+
+        /// The earliest cycle a read completes (`u64::MAX`: none).
+        fn next_due(&self) -> u64 {
+            self.inflight.iter().map(|f| f.0).min().unwrap_or(u64::MAX)
         }
 
         fn deliver(&mut self, now: u64, cluster: &mut CpuCluster) {
@@ -528,7 +602,9 @@ mod tests {
             }
             self.sent += 1;
             if !req.is_write {
-                self.inflight.push((self.now + self.delay, req.id));
+                let jitter = req.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                let latency = self.delay + jitter % (self.spread + 1);
+                self.inflight.push((self.now + latency, req.id));
             }
             true
         }
@@ -653,6 +729,192 @@ mod tests {
         let faults = cl.trace_faults();
         assert_eq!(faults, vec![(0, TraceError::Exhausted { after: n })]);
         assert_eq!(cl.ipc(0), 0.0, "target never reached, IPC stays 0");
+    }
+
+    /// A random trace that keeps a small LLC missing and evicting dirty
+    /// lines, with long bubble runs for mechanical stretches.
+    fn random_trace(seed: u64) -> Box<dyn TraceSource> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let entries = (0..3_000)
+            .map(|_| {
+                let bubbles = if rng.gen_bool(0.15) {
+                    rng.gen_range(40..600u32)
+                } else {
+                    rng.gen_range(0..6u32)
+                };
+                let line = rng.gen_range(0..4_096u64) * 64;
+                match rng.gen_range(0..10u32) {
+                    0 => TraceEntry::bubbles(bubbles.max(1)),
+                    1..=3 => TraceEntry::store(bubbles, line),
+                    _ => TraceEntry::load(bubbles, line),
+                }
+            })
+            .collect();
+        Box::new(LoopedTrace::new(entries))
+    }
+
+    fn four_core_cluster(seed: u64, target: u64) -> CpuCluster {
+        let mut cfg = CpuConfig::paper_default().with_target(target);
+        cfg.llc_bytes = 16 * 1024;
+        cfg.llc_ways = 4;
+        let traces = (0..4).map(|c| random_trace(seed * 10 + c)).collect();
+        CpuCluster::new(cfg, traces, 1 << 30, seed)
+    }
+
+    /// Everything a deferred core could disagree on after a settle.
+    fn cluster_state(cl: &CpuCluster, mem: &FixedLatency) -> String {
+        let cores: Vec<String> = cl.cores.iter().map(Core::state).collect();
+        let mshrs: Vec<_> = cl
+            .outstanding
+            .iter()
+            .map(|e| (e.line, e.req, e.initiator, e.waiters.clone()))
+            .collect();
+        format!(
+            "{cores:#?} llc {}/{} mshrs {mshrs:?} used {:?} wbs {:?} sent {} inflight {:?} done {}",
+            cl.llc.hits(),
+            cl.llc.misses(),
+            cl.mshr_used,
+            cl.pending_writebacks,
+            mem.sent,
+            mem.inflight,
+            cl.done(),
+        )
+    }
+
+    /// Two four-core clusters over the same random traces: `stepped`
+    /// runs [`CpuCluster::cycle`] in every cycle, `deferred` follows the
+    /// event protocol (ask for the inert horizon, skip to it or to the
+    /// next completion, step that cycle) and leaves inert cores behind.
+    struct Pair {
+        stepped: CpuCluster,
+        stepped_mem: FixedLatency,
+        deferred: CpuCluster,
+        deferred_mem: FixedLatency,
+        now: CpuCycle,
+        rng: rand::rngs::StdRng,
+        /// Completions delivered to a core that was deferred.
+        deferred_completions: u64,
+        /// Stepped cycles with writebacks queued and a core deferred.
+        deferred_under_writebacks: u64,
+        /// Cycles the deferred cluster stepped.
+        deferred_cycles: u64,
+    }
+
+    impl Pair {
+        fn new(seed: u64, target: u64) -> Self {
+            use rand::SeedableRng;
+            Self {
+                stepped: four_core_cluster(seed, target),
+                stepped_mem: FixedLatency::random(5, 400),
+                deferred: four_core_cluster(seed, target),
+                deferred_mem: FixedLatency::random(5, 400),
+                now: 0,
+                rng: rand::rngs::StdRng::seed_from_u64(seed),
+                deferred_completions: 0,
+                deferred_under_writebacks: 0,
+                deferred_cycles: 0,
+            }
+        }
+
+        fn step_deferred(&mut self, now: CpuCycle) {
+            let cl = &self.deferred;
+            let behind = |i: usize| cl.local[i] < now;
+            self.deferred_completions += cl
+                .outstanding
+                .iter()
+                .filter(|e| {
+                    let req = e.req;
+                    self.deferred_mem
+                        .inflight
+                        .iter()
+                        .any(|&(at, id)| id == req && at <= now)
+                })
+                .flat_map(|e| &e.waiters)
+                .filter(|&&(core, _)| behind(core as usize))
+                .count() as u64;
+            if !cl.pending_writebacks.is_empty() && (0..4).any(|i| cl.inert_until[i] > now) {
+                self.deferred_under_writebacks += 1;
+            }
+            self.deferred_mem.deliver(now, &mut self.deferred);
+            self.deferred.cycle(now, &mut self.deferred_mem);
+            self.deferred_cycles += 1;
+        }
+
+        /// Runs both clusters to `end`, settling the deferred one (and
+        /// comparing) at random points.
+        fn run_to(&mut self, end: CpuCycle) {
+            use rand::Rng;
+            while self.now < end {
+                let k = self.deferred.inert_cycles(self.now).min(end - self.now);
+                let next = if k == 0 {
+                    self.now
+                } else {
+                    (self.now + k).min(self.deferred_mem.next_due())
+                };
+                while self.now < next {
+                    self.stepped_mem.deliver(self.now, &mut self.stepped);
+                    self.stepped.cycle(self.now, &mut self.stepped_mem);
+                    self.now += 1;
+                }
+                if self.now == end {
+                    break;
+                }
+                self.stepped_mem.deliver(self.now, &mut self.stepped);
+                self.stepped.cycle(self.now, &mut self.stepped_mem);
+                self.step_deferred(self.now);
+                self.now += 1;
+                if self.rng.gen_bool(0.02) {
+                    self.settle_and_compare();
+                }
+            }
+            self.settle_and_compare();
+        }
+
+        fn settle_and_compare(&mut self) {
+            self.deferred.settle(self.now);
+            assert_eq!(
+                cluster_state(&self.stepped, &self.stepped_mem),
+                cluster_state(&self.deferred, &self.deferred_mem),
+                "diverged by cycle {}",
+                self.now
+            );
+        }
+
+        fn both(&mut self, f: impl Fn(&mut CpuCluster)) {
+            f(&mut self.stepped);
+            f(&mut self.deferred);
+        }
+    }
+
+    #[test]
+    fn deferred_cores_equal_a_stepping_cluster() {
+        for seed in 1..=4 {
+            let mut p = Pair::new(seed, 30_000);
+            p.run_to(20_000);
+            // Freeze fetch and drain, as the sampling driver does.
+            p.both(|c| c.set_fetch_frozen(true));
+            p.run_to(22_000);
+            assert!(p.deferred.quiescent(), "seed {seed}: drain incomplete");
+            p.both(|c| c.set_fetch_frozen(false));
+            // A new measured phase between segments.
+            p.both(|c| c.begin_phase(6_000));
+            p.run_to(60_000);
+            assert!(p.deferred.done(), "seed {seed}: phase unfinished");
+            assert!(
+                p.deferred_completions > 0,
+                "seed {seed}: no completion reached a deferred core"
+            );
+            assert!(
+                p.deferred_under_writebacks > 0,
+                "seed {seed}: no core stayed deferred under queued writebacks"
+            );
+            assert!(
+                p.deferred.stepped_core_cycles() < 4 * p.deferred_cycles,
+                "seed {seed}: no core was skipped inside a stepped cycle"
+            );
+        }
     }
 
     #[test]

@@ -399,6 +399,25 @@ impl Core {
     pub fn window_empty(&self) -> bool {
         self.window_len() == 0
     }
+
+    /// Every field a cycle can change, for tests that compare a stepped
+    /// core with a replayed one.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> String {
+        format!(
+            "retired {} finish {:?} head {} next_seq {} bubbles {} access {:?} misses {} target {} fault {:?} mem {:?}",
+            self.retired,
+            self.finish_cycle,
+            self.head,
+            self.next_seq,
+            self.pending_bubbles,
+            self.pending_access,
+            self.demand_misses,
+            self.target,
+            self.trace_fault,
+            self.mem,
+        )
+    }
 }
 
 #[cfg(test)]

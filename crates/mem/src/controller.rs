@@ -533,13 +533,6 @@ impl MemController {
         self.issue_one(now);
     }
 
-    /// A conservative lower bound on the next cycle at which
-    /// [`MemController::tick`] could have any observable effect beyond
-    /// background accounting. Alias of [`MemController::min_wakeup`].
-    pub fn next_event_at(&self, now: Cycle) -> Cycle {
-        self.min_wakeup(now)
-    }
-
     /// The earliest cycle at which a tick could have any observable
     /// effect beyond background accounting: deliver a completion,
     /// schedule or issue a refresh, serve queued work, or close a row

@@ -417,6 +417,7 @@ pub(crate) fn drive(sys: &mut System, plan: SamplePlan, max_cpu_cycles: u64) -> 
             if !sys.cluster.quiescent() {
                 break; // cycle cap hit mid-drain
             }
+            sys.settle();
             // The drain emptied the queues but open-page policy leaves
             // row buffers open; close them through the normal precharge
             // bookkeeping before the fast-forward mutates the CROW

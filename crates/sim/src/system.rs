@@ -25,6 +25,10 @@ struct Router<'a> {
     /// Per-channel next-event bounds; a successful enqueue mutates the
     /// controller, so its bound is reset to force a real tick.
     next_event: &'a mut [u64],
+    /// `System::mc_charged`: a send charges its controller up to
+    /// `mem_cycle` first, since `try_enqueue` stamps `bg_cycles`.
+    charged: &'a mut [u64],
+    mem_cycle: u64,
 }
 
 impl MemPort for Router<'_> {
@@ -38,6 +42,7 @@ impl MemPort for Router<'_> {
         let mut r = MemRequest::new(req.id, kind, a.rank, a.bank, a.row, a.col, req.core);
         r.is_prefetch = req.is_prefetch;
         let ch = a.channel as usize;
+        charge(&mut self.mcs[ch], &mut self.charged[ch], self.mem_cycle);
         if self.mcs[ch].try_enqueue(r).is_ok() {
             self.next_event[ch] = 0;
             true
@@ -65,6 +70,10 @@ pub struct System {
     /// memory ticks strictly before `mc_next_event[i]` are provable
     /// no-ops for controller `i`. 0 forces a real tick.
     mc_next_event: Vec<u64>,
+    /// Per channel, the memory cycle the controller's background
+    /// accounting has reached. Idle cycles are charged lazily (`charge`)
+    /// right before the next call that mutates the controller.
+    mc_charged: Vec<u64>,
     /// CPU cycle of the next periodic injection (VRT event or bus drop);
     /// `u64::MAX` when neither is configured. Never behind `cpu_cycle`.
     next_injection: u64,
@@ -252,6 +261,7 @@ impl System {
         let cluster = CpuCluster::new(cfg.cpu, traces, mapper.capacity_bytes(), cfg.seed);
         let vrt_rng = StdRng::seed_from_u64(cfg.seed ^ 0x56525421);
         let mc_next_event = vec![0; mcs.len()];
+        let mc_charged = vec![0; mcs.len()];
         let next_injection = next_injection_after(&cfg, 0);
         Ok(Self {
             cfg,
@@ -265,6 +275,7 @@ impl System {
             completions: Vec::with_capacity(64),
             vrt_rng,
             mc_next_event,
+            mc_charged,
             next_injection,
             fault_stats: FaultStats::default(),
             hammer,
@@ -280,6 +291,7 @@ impl System {
         let rank = self.vrt_rng.gen_range(0..dram.ranks);
         let bank = self.vrt_rng.gen_range(0..dram.banks);
         let row = self.vrt_rng.gen_range(0..dram.rows_per_bank);
+        charge(&mut self.mcs[ch], &mut self.mc_charged[ch], self.mem_cycle);
         self.mcs[ch].remap_weak_row_in_rank(rank, bank, row);
         self.mc_next_event[ch] = 0;
         self.fault_stats.vrt_injected += 1;
@@ -296,6 +308,7 @@ impl System {
         }
         if drop.is_some_and(|i| now.is_multiple_of(i)) {
             let ch = (self.fault_stats.drops_injected % u64::from(self.cfg.channels)) as usize;
+            charge(&mut self.mcs[ch], &mut self.mc_charged[ch], self.mem_cycle);
             self.mcs[ch].drop_next_issue();
             self.mc_next_event[ch] = 0;
             self.fault_stats.drops_injected += 1;
@@ -394,6 +407,14 @@ impl System {
         self.stepped_cycles
     }
 
+    /// Core-cycles that ran the per-core step inside
+    /// [`CpuCluster::cycle`]; a core inert in a stepped cycle is skipped
+    /// and replayed in closed form. At most the core count times
+    /// [`System::stepped_cycles`]; kept out of the report likewise.
+    pub fn stepped_core_cycles(&self) -> u64 {
+        self.cluster.stepped_core_cycles()
+    }
+
     /// Direct access to the active attack scenario's state
     /// (tests/diagnostics); `None` when no scenario is configured.
     pub fn hammer_state(&self) -> Option<&HammerState> {
@@ -416,9 +437,9 @@ impl System {
     /// and, if it yields a memory tick, ticks every controller.
     /// Completions wait in `self.completions` for the cluster half.
     ///
-    /// With `event_driven` set, a tick provably before a controller's
-    /// next event is replaced by the equivalent background accounting
-    /// ([`MemController::skip_idle`]).
+    /// With `event_driven` set, a controller whose tick is provably
+    /// before its next event is left alone: the idle cycle is charged
+    /// with the rest of its gap before its next mutation.
     fn tick_memory(&mut self, event_driven: bool) {
         let (num, den) = SystemConfig::CLOCK_RATIO;
         self.clock_accum += den;
@@ -426,18 +447,20 @@ impl System {
             return;
         }
         self.clock_accum -= num;
+        let now = self.mem_cycle;
         let hammer = &mut self.hammer;
         for (i, mc) in self.mcs.iter_mut().enumerate() {
-            if event_driven && self.mem_cycle < self.mc_next_event[i] {
-                mc.skip_idle(1);
-            } else {
-                mc.tick(self.mem_cycle, &mut self.completions);
-                if let Some(hs) = hammer.as_mut() {
-                    hs.drain(i as u32, mc);
-                }
-                if event_driven {
-                    self.mc_next_event[i] = mc.min_wakeup(self.mem_cycle);
-                }
+            if event_driven && now < self.mc_next_event[i] {
+                continue;
+            }
+            charge(mc, &mut self.mc_charged[i], now);
+            mc.tick(now, &mut self.completions);
+            self.mc_charged[i] = now + 1;
+            if let Some(hs) = hammer.as_mut() {
+                hs.drain(i as u32, mc);
+            }
+            if event_driven {
+                self.mc_next_event[i] = mc.min_wakeup(now);
             }
         }
         self.mem_cycle += 1;
@@ -453,6 +476,8 @@ impl System {
             mcs: &mut self.mcs,
             mapper: &self.mapper,
             next_event: &mut self.mc_next_event,
+            charged: &mut self.mc_charged,
+            mem_cycle: self.mem_cycle,
         };
         self.cluster.cycle(self.cpu_cycle, &mut router);
         self.cpu_cycle += 1;
@@ -469,6 +494,7 @@ impl System {
         };
         if let Some(req) = hs.gen.poll(self.cpu_cycle) {
             let ch = hs.gen.channel() as usize;
+            charge(&mut self.mcs[ch], &mut self.mc_charged[ch], self.mem_cycle);
             match self.mcs[ch].try_enqueue(req) {
                 Ok(()) => {
                     hs.gen.note_injected();
@@ -485,8 +511,8 @@ impl System {
     /// aggressor poll) in which only the controllers advance. An inert
     /// cluster sends nothing to memory and hears from it only through a
     /// tick, so the stretch ends in the first cycle whose tick delivers a
-    /// completion: the cluster replays the cycles before it in closed
-    /// form and steps that one.
+    /// completion, and the cluster steps that one. The cores replay the
+    /// skipped cycles in closed form when they are next touched.
     fn advance(&mut self, max_cpu_cycles: u64) {
         let start = self.cpu_cycle;
         let mut end = start
@@ -507,21 +533,19 @@ impl System {
             }
             self.tick_memory(true);
             if !self.completions.is_empty() {
-                self.cluster.advance_inert(start, self.cpu_cycle - start);
                 self.step_cluster();
                 return;
             }
             self.cpu_cycle += 1;
         }
-        self.cluster.advance_inert(start, self.cpu_cycle - start);
     }
 
     /// Advances the clock towards `end`, stopping just before the cycle
-    /// that yields the next due controller tick, and charges the memory
-    /// ticks on the way to every controller as idle. Over `k` CPU cycles
-    /// the accumulator yields `(clock_accum + den*k) / num` ticks, at
-    /// memory cycles `mem_cycle ..`; bounding those below the earliest
-    /// event gives the largest `k`.
+    /// that yields the next due controller tick. The memory ticks on the
+    /// way are idle for every controller and are charged lazily. Over
+    /// `k` CPU cycles the accumulator yields `(clock_accum + den*k) /
+    /// num` ticks, at memory cycles `mem_cycle ..`; bounding those below
+    /// the earliest event gives the largest `k`.
     fn skip_to_next_event(&mut self, end: u64) {
         let (num, den) = SystemConfig::CLOCK_RATIO;
         let mem_next = self.mc_next_event.iter().copied().min().unwrap_or(u64::MAX);
@@ -531,14 +555,8 @@ impl System {
             .saturating_sub(1 + self.clock_accum);
         let k = (budget / den).min(end - self.cpu_cycle);
         let total = self.clock_accum + den * k;
-        let mem_ticks = total / num;
+        self.mem_cycle += total / num;
         self.clock_accum = total % num;
-        if mem_ticks > 0 {
-            for mc in &mut self.mcs {
-                mc.skip_idle(mem_ticks);
-            }
-            self.mem_cycle += mem_ticks;
-        }
         self.cpu_cycle += k;
     }
 
@@ -556,6 +574,9 @@ impl System {
         if sampled.is_none() {
             self.run_serial(max_cpu_cycles);
         }
+        // A sampled run the cycle cap stops mid-drain leaves cores and
+        // controllers behind.
+        self.settle();
         if self.cfg.validate_protocol {
             let now = self.mem_cycle;
             for mc in &mut self.mcs {
@@ -594,6 +615,19 @@ impl System {
                     self.advance(max_cpu_cycles);
                 }
             }
+        }
+        // Sampling phases read statistics and change targets between
+        // runs.
+        self.settle();
+    }
+
+    /// Brings every deferred core to the current cycle and charges
+    /// every controller its idle cycles, so statistics can be read and
+    /// phases changed.
+    pub(crate) fn settle(&mut self) {
+        self.cluster.settle(self.cpu_cycle);
+        for (mc, charged) in self.mcs.iter_mut().zip(&mut self.mc_charged) {
+            charge(mc, charged, self.mem_cycle);
         }
     }
 
@@ -688,6 +722,15 @@ impl System {
             }
         }
     }
+}
+
+/// Charges `mc` the idle memory cycles from `*charged` up to `to`
+/// ([`MemController::skip_idle`]). Between two calls that mutate a
+/// controller its queues and open rows are constant, so one charge over
+/// the gap equals that many idle ticks.
+fn charge(mc: &mut MemController, charged: &mut u64, to: u64) {
+    mc.skip_idle(to - *charged);
+    *charged = to;
 }
 
 /// The periodic injectors' intervals in CPU cycles: VRT weak-row

@@ -9,7 +9,7 @@
 //! must agree bit-for-bit, not two.
 
 use crow_mem::SchedImpl;
-use crow_sim::{Engine, FaultPlan, Mechanism, System, SystemConfig};
+use crow_sim::{Engine, FaultPlan, Mechanism, SamplePlan, System, SystemConfig};
 use crow_workloads::AppProfile;
 
 /// The engine × scheduler-implementation matrix every equivalence test
@@ -245,10 +245,12 @@ fn multicore_mix_matches() {
     }
 }
 
-/// Share of CPU cycles in which the event-driven engine stepped the
-/// cluster (`System::stepped_cycles`), on the paper platform (4
-/// channels, 8 MiB LLC) after a functional warmup.
-fn stepped_share(mechanism: Mechanism, apps: &[&AppProfile], insts: u64) -> f64 {
+/// How much of a run the event-driven engine stepped, on the paper
+/// platform (4 channels, 8 MiB LLC) after a functional warmup: the
+/// share of CPU cycles that ran `CpuCluster::cycle`
+/// (`System::stepped_cycles`), and the share of the core-cycles in those
+/// cycles that ran a core's step (`System::stepped_core_cycles`).
+fn stepped_share(mechanism: Mechanism, apps: &[&AppProfile], insts: u64) -> (f64, f64) {
     let mut cfg = SystemConfig::paper_default(mechanism).with_llc_bytes(8 << 20);
     cfg.engine = Engine::EventDriven;
     cfg.mc.sched_impl = SchedImpl::Indexed;
@@ -259,7 +261,11 @@ fn stepped_share(mechanism: Mechanism, apps: &[&AppProfile], insts: u64) -> f64 
     // here instead of hanging.
     let r = sys.run(50_000_000);
     assert!(r.finished);
-    sys.stepped_cycles() as f64 / r.cpu_cycles as f64
+    let stepped = sys.stepped_cycles() as f64;
+    (
+        stepped / r.cpu_cycles as f64,
+        sys.stepped_core_cycles() as f64 / (apps.len() as f64 * stepped),
+    )
 }
 
 #[test]
@@ -273,13 +279,83 @@ fn stepped_cycle_share_stays_bounded() {
     // memory tick steps 10.0% and 11.6%, and a core model that demands
     // the whole window ready 22.7% and 42.6%. The bounds leave between
     // two and three points of margin.
-    let omnetpp = stepped_share(
+    let (omnetpp, _) = stepped_share(
         Mechanism::Baseline,
         &[AppProfile::by_name("omnetpp").unwrap()],
         200_000,
     );
     assert!(omnetpp < 0.07, "omnetpp stepped {omnetpp:.4} of its cycles");
     let llmm = crow_workloads::mixes_for_group(crow_workloads::MixGroup::Llmm, 1, 1)[0];
-    let mix = stepped_share(Mechanism::crow_cache(8), &llmm, 100_000);
+    let (mix, cores) = stepped_share(Mechanism::crow_cache(8), &llmm, 100_000);
     assert!(mix < 0.08, "the LLMM mix stepped {mix:.4} of its cycles");
+    // Inside a stepped cycle, a core that is itself inert is skipped:
+    // the LLMM mix runs 25.6% of the core-cycles in its stepped cycles.
+    // A cluster that steps every core in every stepped cycle runs all
+    // of them.
+    assert!(
+        cores <= 0.35,
+        "the LLMM mix stepped {cores:.4} of the core-cycles in its stepped cycles"
+    );
+}
+
+/// Runs `apps` under every matrix cell with the cycle cap `cap` and
+/// compares the normalized reports; returns the reference report.
+fn assert_capped_equivalent(
+    cfg: &SystemConfig,
+    apps: &[&AppProfile],
+    cap: u64,
+) -> crow_sim::SimReport {
+    let run = |(engine, sched_impl): (Engine, SchedImpl)| {
+        let mut cfg = cfg.clone();
+        cfg.engine = engine;
+        cfg.mc.sched_impl = sched_impl;
+        let mut sys = System::new(cfg, apps);
+        let mut r = sys.run(cap);
+        normalize(&mut r);
+        r
+    };
+    let reference = run(MATRIX[0]);
+    for cell in &MATRIX[1..] {
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{:?}", run(*cell)),
+            "{cell:?} diverged from {:?} at cap {cap}",
+            MATRIX[0],
+        );
+    }
+    reference
+}
+
+#[test]
+fn runs_stopped_by_the_cycle_cap_match() {
+    // A run the cap stops leaves cores mid-stretch and controllers idle
+    // since their last tick; the report must still see them at the cap.
+    let llmm = crow_workloads::mixes_for_group(crow_workloads::MixGroup::Llmm, 1, 1)[0];
+    let mut cfg = SystemConfig::quick_test(Mechanism::crow_cache(8));
+    cfg.cpu.target_insts = 1_000_000;
+    for cap in [1_000, 9_973, 40_000, 123_457] {
+        let r = assert_capped_equivalent(&cfg, &llmm, cap);
+        assert!(!r.finished, "cap {cap} did not stop the run");
+    }
+}
+
+#[test]
+fn sampled_runs_stopped_by_the_cycle_cap_match() {
+    // Caps swept across a five-window sampled run of about 69,800
+    // cycles, so they land mid-window, mid-warmup and, at 14,967 and
+    // 42,883, mid-drain, where only the run-end settle charges the
+    // controllers.
+    let llhh = crow_workloads::mixes_for_group(crow_workloads::MixGroup::Llhh, 1, 1)[0];
+    let mut cfg = SystemConfig::quick_test(Mechanism::crow_cache(8));
+    cfg.cpu.target_insts = 150_000;
+    cfg.sample = Some(SamplePlan {
+        window_insts: 5_000,
+        warmup_insts: 2_500,
+        ff_insts: 20_000,
+    });
+    let stopped = (4_000..=70_000)
+        .step_by(997)
+        .filter(|&cap| !assert_capped_equivalent(&cfg, &llhh, cap).finished)
+        .count();
+    assert!(stopped >= 60, "only {stopped} caps stopped the run");
 }
