@@ -893,7 +893,7 @@ mod tests {
         for seed in 1..=4 {
             let mut p = Pair::new(seed, 30_000);
             p.run_to(20_000);
-            // Freeze fetch and drain, as the sampling driver does.
+            // Freeze fetch and drain, as `sampling::drive` does.
             p.both(|c| c.set_fetch_frozen(true));
             p.run_to(22_000);
             assert!(p.deferred.quiescent(), "seed {seed}: drain incomplete");
