@@ -146,20 +146,16 @@ impl SalpConfig {
     }
 
     /// Builds the device configuration: subarray-parallel mode with the
-    /// requested subarray count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the subarray count does not divide the rows per bank.
+    /// requested subarray count. A count that does not divide the rows
+    /// per bank leaves `rows_per_subarray` at 0, which
+    /// [`DramConfig::validate`] rejects.
     pub fn dram_config(&self, mut base: DramConfig) -> DramConfig {
-        assert_eq!(
-            base.rows_per_bank % self.subarrays,
-            0,
-            "subarrays must divide rows_per_bank"
-        );
         base.subarray_parallelism = true;
         base.copy_rows_per_subarray = 0;
-        base.rows_per_subarray = base.rows_per_bank / self.subarrays;
+        base.rows_per_subarray = match base.rows_per_bank.checked_rem(self.subarrays) {
+            Some(0) => base.rows_per_bank / self.subarrays,
+            _ => 0,
+        };
         base
     }
 
@@ -296,12 +292,17 @@ mod tests {
 
     #[test]
     fn salp_rejects_bad_geometry() {
-        let s = SalpConfig {
+        let mut s = SalpConfig {
             subarrays: 7,
             open_page: false,
         };
-        let result = std::panic::catch_unwind(|| s.dram_config(DramConfig::tiny_test()));
-        assert!(result.is_err());
+        let e = s
+            .dram_config(DramConfig::tiny_test())
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("rows_per_subarray"), "{e}");
+        s.subarrays = 0;
+        assert!(s.dram_config(DramConfig::tiny_test()).validate().is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crow_dram::MraTimings;
 use crow_mem::{RowPolicy, SchedKind};
 use crow_sim::metrics::geomean;
-use crow_sim::{run_with_config, Mechanism, Scale, SystemConfig};
+use crow_sim::{run_job, Mechanism, Scale, SystemConfig};
 
 use crate::perf_figs::mix_id;
 use crate::util::{fig_apps, heading, speedup1, FigCampaign, Table};
@@ -52,7 +52,7 @@ pub fn partial_restore(scale: Scale) -> String {
             // tRCD reduction (-38%) since the trade-off is not taken.
             cfg.mra_override = Some(MraTimings::no_partial_restore());
         }
-        Ok(run_with_config(cfg, &[app], scale))
+        run_job(cfg, &[app], scale)
     });
     let mut tab = Table::new(vec!["app", "full-restore only", "with partial restore"]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 2];
@@ -100,7 +100,7 @@ pub fn scheduler(scale: Scale) -> String {
     let reports = camp.run(jobs, |(apps, sched), scale| {
         let mut cfg = SystemConfig::paper_default(Mechanism::Baseline);
         cfg.mc = cfg.mc.with_sched(*sched);
-        Ok(run_with_config(cfg, apps, scale))
+        run_job(cfg, apps, scale)
     });
     let mut tab = Table::new(vec![
         "scheduler",
@@ -150,7 +150,7 @@ pub fn row_policy(scale: Scale) -> String {
     let reports = camp.run(jobs, |&(app, policy), scale| {
         let mut cfg = SystemConfig::paper_default(Mechanism::Baseline);
         cfg.mc.policy = policy;
-        Ok(run_with_config(cfg, &[app], scale))
+        run_job(cfg, &[app], scale)
     });
     let mut tab = Table::new(vec![
         "policy",
@@ -198,11 +198,7 @@ pub fn table_sharing(scale: Scale) -> String {
                 share_factor,
             },
         };
-        Ok(run_with_config(
-            SystemConfig::paper_default(mech),
-            &[app],
-            scale,
-        ))
+        run_job(SystemConfig::paper_default(mech), &[app], scale)
     });
     let stride = factors.len() + 1;
     let mut tab = Table::new(vec![
@@ -270,7 +266,7 @@ pub fn refresh_granularity(scale: Scale) -> String {
         let reports = camp.run(jobs, move |(apps, mech, pb), scale| {
             let mut cfg = SystemConfig::paper_default(*mech).with_density(density);
             cfg.mc.per_bank_refresh = *pb;
-            Ok(run_with_config(cfg, apps, scale))
+            run_job(cfg, apps, scale)
         });
         let mut sp = Vec::new();
         let mut en = Vec::new();
@@ -331,7 +327,7 @@ pub fn standards(scale: Scale) -> String {
             Std::Lpddr4 => SystemConfig::paper_default(mech),
             Std::Ddr4 => SystemConfig::ddr4(mech),
         };
-        Ok(run_with_config(cfg, &[app], scale))
+        run_job(cfg, &[app], scale)
     });
     let mut tab = Table::new(vec!["standard", "CROW-8 speedup", "CROW-8+ref speedup"]);
     for (k, name) in [(0usize, "LPDDR4-3200"), (1, "DDR4-2400")] {
@@ -378,7 +374,7 @@ pub fn mapping(scale: Scale) -> String {
     let reports = camp.run(jobs, |&(app, scheme), scale| {
         let mut cfg = SystemConfig::paper_default(Mechanism::Baseline);
         cfg.scheme = scheme;
-        Ok(run_with_config(cfg, &[app], scale))
+        run_job(cfg, &[app], scale)
     });
     let mut tab = Table::new(vec!["scheme", "geomean IPC vs RoBaRaCoCh"]);
     for (k, (name, _)) in schemes.iter().enumerate() {

@@ -16,8 +16,8 @@ use crow_cpu::trace::{load_trace, LoopedTrace, TraceEntry};
 use crow_cpu::TraceSource;
 use crow_dram::Command;
 use crow_sim::{
-    AttackPattern, Campaign, CampaignPolicy, FaultPlan, HammerScenario, Mechanism, OutcomeKind,
-    SamplePlan, Scale, SimReport, System, SystemConfig,
+    run_job_with, Campaign, CampaignPolicy, CrowError, FaultPlan, OutcomeKind, SamplePlan, Scale,
+    SimJob, System, SystemConfig,
 };
 use crow_workloads::AppProfile;
 
@@ -204,122 +204,35 @@ fn parse_args() -> Args {
     a
 }
 
-fn parse_mechanism(s: &str) -> Mechanism {
-    Mechanism::parse(s).unwrap_or_else(|| {
-        eprintln!("unknown mechanism {s}");
-        usage();
-    })
-}
-
-/// Runs the configured simulation as a single supervised campaign job:
-/// crash-isolated, deadline-enforced, retried at a degraded instruction
-/// budget, and journaled under `results/campaign/simulate.jsonl` so
-/// `--resume` restores the result instead of re-running. Returns the
-/// report and whether it was restored from the journal.
-fn run_supervised<F>(args: &Args, scale: Scale, cfg: SystemConfig, build: F) -> (SimReport, bool)
-where
-    F: Fn(SystemConfig) -> Result<System, crow_sim::CrowError> + Send + Sync + 'static,
-{
-    let mut policy = CampaignPolicy::new(scale);
-    policy.timeout = args
-        .timeout
-        .filter(|&s| s > 0.0)
-        .map(std::time::Duration::from_secs_f64);
-    policy.max_retries = args.retries.unwrap_or(1);
-    policy.resume = args.resume;
-    let mut camp = Campaign::new("simulate", policy).unwrap_or_else(|e| {
-        eprintln!("warning: {e}; running unjournaled");
-        Campaign::ephemeral("simulate", policy)
-    });
-    if camp.quarantined() > 0 {
-        eprintln!(
-            "simulate: quarantined {} malformed journal record(s)",
-            camp.quarantined()
-        );
+/// The journal key: the job's fingerprint plus a segment for every
+/// setting outside the wire protocol. The hammer segment records the
+/// scenario as `CROW_HAMMER_*` resolved it, so env overrides key
+/// distinct entries.
+fn job_key(job: &SimJob, args: &Args, cfg: &SystemConfig) -> String {
+    let mut key = job.fingerprint();
+    if !args.traces.is_empty() {
+        key += &format!("/trace:{}", args.traces.join("+"));
     }
-    if camp.corrupt() > 0 {
-        eprintln!(
-            "simulate: set aside {} CRC-failing journal record(s) to the .corrupt sidecar",
-            camp.corrupt()
-        );
+    if args.per_bank_refresh {
+        key += "/pbref";
     }
-    // Everything that changes the simulated outcome must be in the job
-    // fingerprint (the instruction budget rides the scale fingerprint).
-    // The hammer segment records the *resolved* scenario, so
-    // CROW_HAMMER_* env overrides key distinct journal entries.
-    let hammer_fp = match &cfg.hammer {
-        Some(sc) => format!(
-            "/hammer:{}x{}s{}t{}p{}",
+    if args.oracle {
+        key += "/oracle";
+    }
+    if let Some(spec) = &args.faults {
+        key += &format!("/faults:{spec}");
+    }
+    if let Some(sc) = &cfg.hammer {
+        key += &format!(
+            "/scenario:{}x{}s{}t{}p{}",
             sc.pattern.label(),
             sc.intensity,
             sc.seed,
             sc.flip.base_threshold,
             sc.flip.flip_p_inv
-        ),
-        None => String::new(),
-    };
-    let job_fp = format!(
-        "sim/{}/{}/d{}/llc{}/ch{}/s{}{}{}{}{}{}{}/{}",
-        args.mechanism,
-        if args.traces.is_empty() {
-            args.apps.join("+")
-        } else {
-            args.traces.join("+")
-        },
-        args.density,
-        args.llc_mib,
-        args.channels,
-        args.seed,
-        if args.prefetch { "/pref" } else { "" },
-        if args.per_bank_refresh { "/pbref" } else { "" },
-        if args.oracle { "/oracle" } else { "" },
-        if args.ddr4 { "/ddr4" } else { "" },
-        if args.validate { "/validate" } else { "" },
-        hammer_fp,
-        args.faults.as_deref().unwrap_or("-"),
-    );
-    let oracle = args.oracle;
-    let outcomes = camp.run(vec![(job_fp, cfg)], move |cfg, scale| {
-        let mut cfg = cfg.clone();
-        cfg.cpu.target_insts = scale.insts;
-        cfg.sample = scale.sample;
-        let mut sys = build(cfg)?;
-        if scale.warmup > 0 {
-            sys.warm(scale.warmup);
-        }
-        let r = sys.run_checked(u64::MAX)?;
-        if oracle {
-            sys.assert_data_integrity();
-        }
-        Ok(r)
-    });
-    let o = outcomes.into_iter().next().expect("one job in, one out");
-    eprintln!(
-        "simulate campaign: {} after {} attempt(s)",
-        match o.disposition() {
-            OutcomeKind::Ok => "ok",
-            OutcomeKind::Degraded => "completed at degraded scale",
-            OutcomeKind::Panicked => "failed",
-            OutcomeKind::TimedOut => "timed out",
-            OutcomeKind::Skipped => "restored",
-        },
-        o.attempts.max(1)
-    );
-    match o.result {
-        Some(r) => {
-            if oracle && o.kind != OutcomeKind::Skipped {
-                println!("data-integrity oracle: clean");
-            }
-            (r, o.kind == OutcomeKind::Skipped)
-        }
-        None => {
-            eprintln!(
-                "simulate: {}",
-                o.error.as_deref().unwrap_or("job produced no result")
-            );
-            std::process::exit(1);
-        }
+        );
     }
+    key
 }
 
 fn main() {
@@ -341,81 +254,75 @@ fn main() {
         })),
         None => env_scale.sample,
     };
-    let scale = Scale {
+    if args.hammer.is_none() && args.hammer_intensity.is_some() {
+        eprintln!("--hammer-intensity needs --hammer");
+        usage();
+    }
+    if args.hammer_intensity == Some(0) {
+        eprintln!("--hammer-intensity must be positive");
+        usage();
+    }
+    let job = SimJob {
+        id: "simulate".into(),
+        // Recorded traces replace the applications.
+        apps: if args.traces.is_empty() {
+            args.apps.clone()
+        } else {
+            Vec::new()
+        },
+        mechanism: args.mechanism.clone(),
         insts: args.insts,
         warmup: args.warmup,
-        mixes_per_group: 1,
-        max_cycles: u64::MAX,
-        threads: 1,
-        checkpoints: false,
+        seed: args.seed,
+        density: args.density,
+        llc_mib: args.llc_mib,
+        channels: args.channels,
+        prefetch: args.prefetch,
+        ddr4: args.ddr4,
+        validate: args.validate,
+        hammer: args
+            .hammer
+            .clone()
+            .map(|p| (p, args.hammer_intensity.unwrap_or(500_000))),
+        chaos: None,
         sample,
     };
-    let mech = parse_mechanism(&args.mechanism);
-    let base = if args.ddr4 {
-        SystemConfig::ddr4(mech)
-    } else {
-        SystemConfig::paper_default(mech).with_density(args.density)
-    };
-    let mut cfg = base.with_llc_bytes(args.llc_mib << 20);
-    cfg.channels = args.channels;
-    cfg.seed = args.seed;
-    cfg.cpu.target_insts = args.insts;
-    cfg.sample = scale.sample;
+    let mut cfg = job.to_config().unwrap_or_else(|e| {
+        eprintln!("simulate: {e}");
+        usage();
+    });
     cfg.mc.per_bank_refresh = args.per_bank_refresh;
     cfg.oracle = args.oracle;
-    if args.prefetch {
-        cfg = cfg.with_prefetcher();
-    }
-    if args.validate {
-        cfg.validate_protocol = true;
-    }
     if let Some(spec) = &args.faults {
         let (vrt, drop) = parse_faults(spec);
         cfg.vrt_interval_cycles = vrt;
         cfg.fault_plan = drop.map(|drop_interval| FaultPlan { drop_interval });
     }
-    if args.hammer.is_none() && args.hammer_intensity.is_some() {
-        eprintln!("--hammer-intensity needs --hammer");
-        usage();
-    }
-    if let Some(spec) = &args.hammer {
-        let pattern = AttackPattern::parse(spec).unwrap_or_else(|| {
-            eprintln!("unknown attack pattern {spec}");
-            usage();
-        });
-        let intensity = args.hammer_intensity.unwrap_or(500_000);
-        if intensity == 0 {
-            eprintln!("--hammer-intensity must be positive");
-            usage();
-        }
-        let mut sc = HammerScenario::new(pattern, intensity);
+    if let Some(sc) = &mut cfg.hammer {
         if let Err(e) = sc.apply_env() {
             eprintln!("simulate: {e}");
             std::process::exit(2);
         }
-        cfg = cfg.with_hammer(sc);
     }
+    let key = job_key(&job, &args, &cfg);
+    let label = cfg.mechanism.label();
     let hammering = cfg.hammer;
     let validating = cfg.validate_protocol;
     let injecting = args.faults.is_some();
 
-    // Resolve inputs once, up front (bad names/files fail fast in both
-    // the direct and the supervised path).
+    // Resolve inputs once, up front, so bad names and files fail fast.
     let mut names = Vec::new();
-    let apps: Vec<&'static AppProfile> = if args.traces.is_empty() {
-        args.apps
-            .iter()
-            .map(|n| {
-                AppProfile::by_name(n).unwrap_or_else(|| {
-                    eprintln!("unknown app {n}");
-                    usage()
-                })
+    let apps: Vec<&'static AppProfile> = job
+        .apps
+        .iter()
+        .map(|n| {
+            AppProfile::by_name(n).unwrap_or_else(|| {
+                eprintln!("unknown app {n}");
+                usage()
             })
-            .inspect(|a| names.push(a.name.to_string()))
-            .collect()
-    } else {
-        Vec::new()
-    };
+        })
+        .inspect(|a| names.push(a.name.to_string()))
+        .collect();
     let trace_entries: Vec<Vec<TraceEntry>> = args
         .traces
         .iter()
@@ -428,8 +335,7 @@ fn main() {
             entries
         })
         .collect();
-
-    let build = move |cfg: SystemConfig| -> Result<System, crow_sim::CrowError> {
+    let build = move |cfg: SystemConfig| -> Result<System, CrowError> {
         if trace_entries.is_empty() {
             System::try_new(cfg, &apps)
         } else {
@@ -444,28 +350,70 @@ fn main() {
         }
     };
 
+    // One campaign runs the job: journaled and retried at a degraded
+    // budget when --timeout, --retries or --resume asks for it,
+    // otherwise ephemeral with no retry.
     let supervised = args.timeout.is_some() || args.retries.is_some() || args.resume;
-    let start = std::time::Instant::now();
-    let (r, restored) = if supervised {
-        run_supervised(&args, scale, cfg, build)
+    let mut policy = CampaignPolicy::new(job.scale());
+    policy.timeout = args
+        .timeout
+        .filter(|&s| s > 0.0)
+        .map(std::time::Duration::from_secs_f64);
+    policy.max_retries = if supervised {
+        args.retries.unwrap_or(1)
     } else {
-        let mut sys = build(cfg.clone()).unwrap_or_else(|e| {
-            eprintln!("simulate: {e}");
-            std::process::exit(1);
-        });
-        if args.warmup > 0 {
-            sys.warm(args.warmup);
-        }
-        let r = sys.run_checked(u64::MAX).unwrap_or_else(|e| {
-            eprintln!("simulate: {e}");
-            std::process::exit(1);
-        });
-        if args.oracle {
-            sys.assert_data_integrity();
-            println!("data-integrity oracle: clean");
-        }
-        (r, false)
+        0
     };
+    policy.resume = args.resume;
+    let mut camp = if supervised {
+        Campaign::new("simulate", policy).unwrap_or_else(|e| {
+            eprintln!("warning: {e}; running unjournaled");
+            Campaign::ephemeral("simulate", policy)
+        })
+    } else {
+        Campaign::ephemeral("simulate", policy)
+    };
+    if camp.quarantined() > 0 {
+        eprintln!(
+            "simulate: quarantined {} malformed journal record(s)",
+            camp.quarantined()
+        );
+    }
+    if camp.corrupt() > 0 {
+        eprintln!(
+            "simulate: set aside {} CRC-failing journal record(s) to the .corrupt sidecar",
+            camp.corrupt()
+        );
+    }
+    let start = std::time::Instant::now();
+    let outcomes = camp.run(vec![(key, cfg)], move |cfg, scale| {
+        run_job_with(cfg.clone(), scale, &build)
+    });
+    let o = outcomes.into_iter().next().expect("one job in, one out");
+    if supervised {
+        eprintln!(
+            "simulate campaign: {} after {} attempt(s)",
+            match o.disposition() {
+                OutcomeKind::Ok => "ok",
+                OutcomeKind::Degraded => "completed at degraded scale",
+                OutcomeKind::Panicked => "failed",
+                OutcomeKind::TimedOut => "timed out",
+                OutcomeKind::Skipped => "restored",
+            },
+            o.attempts.max(1)
+        );
+    }
+    let restored = o.kind == OutcomeKind::Skipped;
+    let Some(r) = o.result else {
+        eprintln!(
+            "simulate: {}",
+            o.error.as_deref().unwrap_or("job produced no result")
+        );
+        std::process::exit(1);
+    };
+    if args.oracle && !restored {
+        println!("data-integrity oracle: clean");
+    }
     if restored {
         println!("[restored from campaign journal; wall-clock figures are from the original run]");
     }
@@ -503,7 +451,7 @@ fn main() {
 
     println!(
         "== {} | {} | {} insts/core | {} Gbit | {} MiB LLC | {} ch{}{} ==",
-        mech.label(),
+        label,
         if args.ddr4 {
             "DDR4-2400"
         } else {

@@ -3,7 +3,7 @@
 
 use crow_baselines::{SalpConfig, TlDramConfig};
 use crow_sim::metrics::geomean;
-use crow_sim::{run_single, run_with_config, Mechanism, Scale, SystemConfig};
+use crow_sim::{run_job, Mechanism, Scale, SystemConfig};
 use crow_workloads::AppProfile;
 
 use crate::util::{energy_norm, fig_apps, heading, speedup1, FigCampaign, Table};
@@ -43,7 +43,9 @@ pub fn fig11(scale: Scale) -> String {
             jobs.push((format!("{}/{label}", app.name), (app, *mech)));
         }
     }
-    let reports = camp.run(jobs, |&(app, mech), scale| Ok(run_single(app, mech, scale)));
+    let reports = camp.run(jobs, |&(app, mech), scale| {
+        run_job(SystemConfig::paper_default(mech), &[app], scale)
+    });
     let rows: Vec<&[crow_sim::SimReport]> = reports.chunks(mechs.len()).collect();
 
     let area_of = |label: &str| -> f64 {
@@ -133,7 +135,7 @@ pub fn fig12(scale: Scale) -> String {
         if c.prefetch {
             cfg = cfg.with_prefetcher();
         }
-        Ok(run_with_config(cfg, &[app], scale))
+        run_job(cfg, &[app], scale)
     });
     let mut tab = Table::new(vec!["app", "pref", "CROW-8", "pref+CROW-8"]);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];

@@ -14,7 +14,7 @@
 use crow_core::{HammerConfig, RetentionProfile};
 use crow_sim::metrics::geomean;
 use crow_sim::{
-    run_with_config, AttackPattern, FlipParams, HammerScenario, Mechanism, Scale, SystemConfig,
+    run_job, AttackPattern, FlipParams, HammerScenario, Mechanism, Scale, SystemConfig,
 };
 use crow_workloads::AppProfile;
 
@@ -137,7 +137,7 @@ pub fn hammer(scale: Scale) -> String {
             sc.flip = flip_params(scale);
             cfg = cfg.with_hammer(sc);
         }
-        Ok(run_with_config(cfg, &[app], scale))
+        run_job(cfg, &[app], scale)
     };
     let baselines = camp.run(base_jobs, worker);
 

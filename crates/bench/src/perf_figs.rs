@@ -3,7 +3,7 @@
 //! energy).
 
 use crow_sim::metrics::geomean;
-use crow_sim::{run_mix, run_single, weighted_speedup, Mechanism, Scale, SimReport};
+use crow_sim::{run_job, weighted_speedup, Mechanism, Scale, SimReport, SystemConfig};
 use crow_workloads::{mixes_for_group, AppProfile, MixGroup};
 
 use crate::util::{energy_norm, fig_apps, heading, speedup1, AloneIpcCache, FigCampaign, Table};
@@ -40,7 +40,9 @@ fn run_grid(
             jobs.push((format!("{}/{}", app.name, mech.label()), (app, mech)));
         }
     }
-    let reports = camp.run(jobs, |&(app, mech), scale| Ok(run_single(app, mech, scale)));
+    let reports = camp.run(jobs, |&(app, mech), scale| {
+        run_job(SystemConfig::paper_default(mech), &[app], scale)
+    });
     reports
         .chunks(mechs.len())
         .map(<[SimReport]>::to_vec)
@@ -137,7 +139,7 @@ pub fn fig9(scale: Scale) -> String {
             }
         }
         let reports = camp.run(jobs, |(mix, mech), scale| {
-            Ok(run_mix(mix.as_ref(), *mech, scale))
+            run_job(SystemConfig::paper_default(*mech), mix, scale)
         });
         // Weighted speedups normalized to the baseline run of each mix.
         let mut per_mech: Vec<Vec<f64>> = vec![Vec::new(); mechs.len() - 1];
@@ -191,7 +193,7 @@ pub fn fig10(scale: Scale) -> String {
         }
     }
     let reports = camp.run(jobs, |(mix, mech), scale| {
-        Ok(run_mix(mix.as_ref(), *mech, scale))
+        run_job(SystemConfig::paper_default(*mech), mix, scale)
     });
     let fours: Vec<f64> = reports
         .chunks(2)

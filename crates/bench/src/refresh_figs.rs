@@ -2,7 +2,7 @@
 //! (CROW-cache + CROW-ref vs LLC capacity, against the ideal).
 
 use crow_sim::metrics::geomean;
-use crow_sim::{run_with_config, Mechanism, Scale, SimReport, SystemConfig};
+use crow_sim::{run_job, Mechanism, Scale, SimReport, SystemConfig};
 use crow_workloads::{mixes_for_group, MixGroup};
 
 use crate::perf_figs::mix_id;
@@ -42,7 +42,7 @@ pub fn fig13(scale: Scale) -> String {
         }
         let reports = camp.run(jobs, move |(apps, mech), scale| {
             let cfg = SystemConfig::paper_default(*mech).with_density(density);
-            Ok(run_with_config(cfg, apps, scale))
+            run_job(cfg, apps, scale)
         });
         let (singles, fours) = reports.split_at(apps.len() * 2);
         let sp1: Vec<f64> = singles
@@ -107,7 +107,7 @@ pub fn fig14(scale: Scale) -> String {
             let cfg = SystemConfig::paper_default(*mech)
                 .with_density(64)
                 .with_llc_bytes(llc_mib << 20);
-            Ok(run_with_config(cfg, apps, scale))
+            run_job(cfg, apps, scale)
         });
         let mut sp: Vec<Vec<f64>> = vec![Vec::new(); 4];
         let mut en_combined = Vec::new();

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use crow_mem::SchedStats;
 use crow_sim::server::{LineRead, LineReader};
 use crow_sim::{
-    run_single, Campaign, CampaignPolicy, CrowError, Json, Mechanism, Scale, SimReport,
+    run_job, Campaign, CampaignPolicy, CrowError, Json, Mechanism, Scale, SimReport, SystemConfig,
 };
 use crow_workloads::AppProfile;
 
@@ -398,6 +398,15 @@ pub fn energy_norm(r: &SimReport, base: &SimReport) -> f64 {
     r.energy.total_nj() / base.energy.total_nj()
 }
 
+/// One application alone on the baseline paper platform.
+fn alone_run(app: &'static AppProfile, scale: Scale) -> Result<SimReport, CrowError> {
+    run_job(
+        SystemConfig::paper_default(Mechanism::Baseline),
+        &[app],
+        scale,
+    )
+}
+
 /// Caches alone-run IPCs (baseline mechanism) for weighted-speedup
 /// computations across many mixes.
 #[derive(Debug, Default)]
@@ -416,7 +425,7 @@ impl AloneIpcCache {
         if let Some(&v) = self.map.get(app.name) {
             return v;
         }
-        let r = run_single(app, Mechanism::Baseline, scale);
+        let r = alone_run(app, scale).unwrap_or_else(|_| failed_report());
         let v = r.ipc[0].max(1e-9);
         self.map.insert(app.name, v);
         v
@@ -440,9 +449,7 @@ impl AloneIpcCache {
             .iter()
             .map(|a| (format!("alone/{}", a.name), *a))
             .collect();
-        let reports = camp.run(jobs, |app, scale| {
-            Ok(run_single(app, Mechanism::Baseline, scale))
-        });
+        let reports = camp.run(jobs, |app, scale| alone_run(app, scale));
         for (app, r) in uniq.iter().zip(reports) {
             self.map.insert(app.name, r.ipc[0].max(1e-9));
         }

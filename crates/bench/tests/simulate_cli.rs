@@ -1,25 +1,75 @@
-//! Command-line contract of `simulate`'s fault-injection flags: the kept
-//! spellings run and report their counts, removed spellings exit 2 and
-//! name their replacement, and bad intervals are configuration errors
-//! rather than panics.
+//! Command-line contract of `simulate`: a plain run and a journaled one
+//! take the same path and print the same report, `--resume` restores
+//! it without simulating, the fault-injection flags run and report
+//! their counts, removed spellings exit 2 and name their replacement,
+//! and bad configurations are errors rather than panics.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const BIN: &str = env!("CARGO_BIN_EXE_simulate");
 
-/// Runs a small one-channel simulation with `extra` flags appended.
-fn simulate(extra: &[&str]) -> Output {
+/// Runs a small one-channel simulation with `extra` flags appended,
+/// journaling any campaign under `dir`.
+fn simulate_in(dir: &Path, extra: &[&str]) -> Output {
     Command::new(BIN)
         .args(["--insts", "20000", "--warmup", "0"])
         .args(["--channels", "1", "--llc-mib", "1"])
         .args(extra)
         .env_remove("CROW_SAMPLE")
+        .env("CROW_CAMPAIGN_DIR", dir)
         .output()
         .expect("spawn simulate")
 }
 
+/// A scratch journal directory for one test.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("crow-simulate-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn simulate(extra: &[&str]) -> Output {
+    simulate_in(&temp_dir("unjournaled"), extra)
+}
+
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Stdout without the wall-clock line.
+fn report(out: &Output) -> Vec<String> {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| !l.starts_with("simulated "))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn plain_journaled_and_resumed_runs_print_one_report() {
+    let dir = temp_dir("resume");
+    let plain = simulate_in(&dir, &["--oracle"]);
+    assert!(plain.status.success(), "{}", stderr(&plain));
+    assert!(!dir.exists(), "a plain run journals nothing");
+    assert_eq!(report(&plain)[0], "data-integrity oracle: clean");
+    let journaled = simulate_in(&dir, &["--oracle", "--retries", "0"]);
+    assert!(journaled.status.success(), "{}", stderr(&journaled));
+    assert_eq!(report(&plain), report(&journaled));
+    let journal = dir.join("simulate.jsonl");
+    let records = || std::fs::read_to_string(&journal).unwrap().lines().count();
+    assert_eq!(records(), 1);
+
+    // A restored report was checked when it ran, so only the banner
+    // replaces the oracle line.
+    let resumed = simulate_in(&dir, &["--oracle", "--resume"]);
+    assert!(resumed.status.success(), "{}", stderr(&resumed));
+    let mut want = report(&plain);
+    want[0] =
+        "[restored from campaign journal; wall-clock figures are from the original run]".into();
+    assert_eq!(report(&resumed), want);
+    assert_eq!(records(), 1, "the restored job did not run again");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -61,18 +111,22 @@ fn removed_spellings_exit_2_naming_the_replacement() {
 }
 
 #[test]
-fn bad_fault_and_hammer_flags_are_rejected_without_a_panic() {
-    for (spec, field) in [
-        ("drop=0", "fault_plan.drop_interval"),
-        ("vrt=0", "vrt_interval_cycles"),
+fn bad_configurations_are_rejected_without_a_panic() {
+    for (args, want) in [
+        (
+            ["--faults", "drop=0"],
+            "invalid SystemConfig: fault_plan.drop_interval must be positive",
+        ),
+        (
+            ["--faults", "vrt=0"],
+            "invalid SystemConfig: vrt_interval_cycles must be positive",
+        ),
+        (["--mechanism", "salp-7"], "invalid DramConfig"),
     ] {
-        let out = simulate(&["--faults", spec]);
+        let out = simulate(&args);
         let err = stderr(&out);
-        assert_eq!(out.status.code(), Some(1), "{spec}: {err}");
-        assert!(
-            err.contains(&format!("invalid SystemConfig: {field} must be positive")),
-            "{spec}: {err}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
     }
     let out = simulate(&["--hammer-intensity", "500000"]);
     let err = stderr(&out);

@@ -59,12 +59,6 @@ impl CrowConfig {
             ideal: false,
         }
     }
-
-    /// Returns a copy with `n` copy rows (CROW-1 / CROW-8 / CROW-256 ...).
-    pub fn with_copy_rows(mut self, n: u8) -> Self {
-        self.copy_rows = n;
-        self
-    }
 }
 
 /// What the memory controller should issue to activate regular row `row`.

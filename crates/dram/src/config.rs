@@ -122,12 +122,6 @@ impl DramConfig {
         self
     }
 
-    /// Returns a copy with `n` copy rows per subarray.
-    pub fn with_copy_rows(mut self, n: u8) -> Self {
-        self.copy_rows_per_subarray = n;
-        self
-    }
-
     /// Number of subarrays per bank.
     pub fn subarrays_per_bank(&self) -> u32 {
         self.rows_per_bank / self.rows_per_subarray

@@ -391,13 +391,6 @@ impl MemController {
         self.crow.as_ref()
     }
 
-    /// Mutable CROW substrate access (boot-time CROW-ref installation).
-    pub fn crow_mut(&mut self) -> Option<&mut CrowSubstrate> {
-        // The caller may install remaps that change hit classification.
-        self.invalidate_classification();
-        self.crow.as_mut()
-    }
-
     /// Controller statistics.
     pub fn stats(&self) -> &McStats {
         &self.stats

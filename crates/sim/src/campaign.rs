@@ -738,11 +738,6 @@ impl Campaign {
         self.dispositions
     }
 
-    /// The full journal fingerprint for a job id under this policy.
-    pub fn fingerprint(&self, job_fp: &str) -> String {
-        format!("{job_fp}@{}", self.policy.scale.fingerprint())
-    }
-
     /// Runs `jobs` (pairs of job fingerprint and job data) to completion
     /// under supervision, returning outcomes in input order.
     ///
@@ -762,7 +757,8 @@ impl Campaign {
         R: Journaled + Send + 'static,
         F: Fn(&J, Scale) -> Result<R, CrowError> + Send + Sync + 'static,
     {
-        let fps: Vec<String> = jobs.iter().map(|(fp, _)| self.fingerprint(fp)).collect();
+        let scale = self.policy.scale;
+        let fps: Vec<String> = jobs.iter().map(|(fp, _)| scale.key(fp)).collect();
         let mut outcomes: Vec<Option<JobOutcome<R>>> =
             fps.iter().map(|fp| self.restore(fp)).collect();
         let pending: Vec<usize> = (0..fps.len()).filter(|&i| outcomes[i].is_none()).collect();

@@ -1,5 +1,6 @@
 //! System configuration and mechanism presets.
 
+use crow_baselines::{SalpConfig, TlDramConfig};
 use crow_core::retention::RetentionProfile;
 use crow_core::HammerConfig;
 use crow_cpu::CpuConfig;
@@ -338,22 +339,8 @@ impl SystemConfig {
     /// changes the scheduling landscape.
     pub fn ddr4(mechanism: Mechanism) -> Self {
         Self {
-            channels: 4,
             dram: DramConfig::ddr4_default(),
-            mc: McConfig::paper_default(),
-            cpu: CpuConfig::paper_default(),
-            scheme: MapScheme::RoBaRaCoCh,
-            mechanism,
-            seed: 0xC0DE,
-            oracle: false,
-            vrt_interval_cycles: None,
-            mra_override: None,
-            engine: Engine::EventDriven,
-            fault_plan: None,
-            hammer: None,
-            validate_protocol: validate_from_env(),
-            threads: 1,
-            sample: None,
+            ..Self::paper_default(mechanism)
         }
     }
 
@@ -369,20 +356,8 @@ impl SystemConfig {
         Self {
             channels: 1,
             dram,
-            mc: McConfig::paper_default(),
             cpu,
-            scheme: MapScheme::RoBaRaCoCh,
-            mechanism,
-            seed: 0xC0DE,
-            oracle: false,
-            vrt_interval_cycles: None,
-            mra_override: None,
-            engine: Engine::EventDriven,
-            fault_plan: None,
-            hammer: None,
-            validate_protocol: validate_from_env(),
-            threads: 1,
-            sample: None,
+            ..Self::paper_default(mechanism)
         }
     }
 
@@ -422,37 +397,22 @@ impl SystemConfig {
             Mechanism::Baseline
             | Mechanism::NoRefresh
             | Mechanism::Para { .. }
-            | Mechanism::Trr { .. }
-            | Mechanism::IdealCache
-            | Mechanism::IdealCacheNoRefresh => {
-                d.copy_rows_per_subarray = if matches!(
-                    self.mechanism,
-                    Mechanism::IdealCache | Mechanism::IdealCacheNoRefresh
-                ) {
-                    1
-                } else {
-                    0
-                };
-            }
+            | Mechanism::Trr { .. } => d.copy_rows_per_subarray = 0,
+            Mechanism::IdealCache | Mechanism::IdealCacheNoRefresh => d.copy_rows_per_subarray = 1,
             Mechanism::CrowCache { copy_rows, .. }
             | Mechanism::CrowCombined { copy_rows, .. }
-            | Mechanism::RowHammer { copy_rows, .. } => {
-                d.copy_rows_per_subarray = copy_rows;
-            }
-            Mechanism::CrowRef { .. } => {
-                d.copy_rows_per_subarray = 8;
-            }
-            Mechanism::TlDram { near_rows } => {
-                d.copy_rows_per_subarray = near_rows;
-            }
-            Mechanism::Salp { subarrays, .. } => {
-                d.copy_rows_per_subarray = 0;
-                d.subarray_parallelism = true;
-                assert!(
-                    d.rows_per_bank.is_multiple_of(subarrays),
-                    "subarray count must divide rows per bank"
-                );
-                d.rows_per_subarray = d.rows_per_bank / subarrays;
+            | Mechanism::RowHammer { copy_rows, .. } => d.copy_rows_per_subarray = copy_rows,
+            Mechanism::CrowRef { .. } => d.copy_rows_per_subarray = 8,
+            Mechanism::TlDram { near_rows } => d = TlDramConfig { near_rows }.dram_config(d),
+            Mechanism::Salp {
+                subarrays,
+                open_page,
+            } => {
+                d = SalpConfig {
+                    subarrays,
+                    open_page,
+                }
+                .dram_config(d);
             }
         }
         d.mra = self

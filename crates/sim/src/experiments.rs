@@ -1,8 +1,9 @@
-//! Canned experiment runners shared by the per-figure harness binaries.
+//! The simulation scale and the one job runner behind every figure,
+//! `crow-serve` and `simulate`.
 
 use crow_workloads::AppProfile;
 
-use crate::config::{Mechanism, SystemConfig};
+use crate::config::SystemConfig;
 use crate::error::CrowError;
 use crate::knobs::Knobs;
 use crate::report::SimReport;
@@ -109,34 +110,59 @@ impl Scale {
         }
         fp
     }
+
+    /// The journal key of job `job` at this scale,
+    /// `{job}@{fingerprint}`: campaigns, `crow-serve` and `simulate` all
+    /// key their journals with it.
+    pub fn key(&self, job: &str) -> String {
+        format!("{job}@{}", self.fingerprint())
+    }
 }
 
-/// Runs one application alone on the paper platform under `mechanism`.
-pub fn run_single(app: &AppProfile, mechanism: Mechanism, scale: Scale) -> SimReport {
-    let cfg = SystemConfig::paper_default(mechanism);
-    run_with_config(cfg, &[app], scale)
+/// Runs one job: sets the instruction target and sampling plan from
+/// `scale`, builds the system, warms it, runs it under
+/// [`System::run_checked`] up to `scale.max_cycles`, and checks the
+/// data-integrity oracle when one is attached.
+///
+/// # Errors
+///
+/// Returns the [`CrowError`] of the failed build or of
+/// [`System::run_checked`].
+///
+/// # Panics
+///
+/// Panics if the oracle recorded a violation.
+pub fn run_job(
+    cfg: SystemConfig,
+    apps: &[&AppProfile],
+    scale: Scale,
+) -> Result<SimReport, CrowError> {
+    run_job_with(cfg, scale, |cfg| System::try_new(cfg, apps))
 }
 
-/// Runs a four-application mix on the paper platform.
-pub fn run_mix(apps: &[&AppProfile], mechanism: Mechanism, scale: Scale) -> SimReport {
-    let cfg = SystemConfig::paper_default(mechanism);
-    run_with_config(cfg, apps, scale)
-}
-
-/// Runs an explicit configuration (density/LLC/prefetcher sweeps).
-pub fn run_with_config(mut cfg: SystemConfig, apps: &[&AppProfile], scale: Scale) -> SimReport {
+/// [`run_job`] over the system `build` makes from the prepared
+/// configuration, e.g. recorded traces through
+/// [`System::try_with_traces`]. Errors and panics as [`run_job`].
+pub fn run_job_with(
+    mut cfg: SystemConfig,
+    scale: Scale,
+    build: impl FnOnce(SystemConfig) -> Result<System, CrowError>,
+) -> Result<SimReport, CrowError> {
     cfg.cpu.target_insts = scale.insts;
     cfg.sample = scale.sample;
-    let mut sys = System::new(cfg, apps);
+    let mut sys = build(cfg)?;
     if scale.warmup > 0 {
         sys.warm(scale.warmup);
     }
-    sys.run(scale.max_cycles)
+    let r = sys.run_checked(scale.max_cycles)?;
+    sys.assert_data_integrity();
+    Ok(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mechanism;
 
     #[test]
     fn scale_env_defaults() {
@@ -220,7 +246,8 @@ mod tests {
     fn single_run_on_tiny_scale() {
         // Uses the full paper platform but a tiny instruction budget.
         let app = AppProfile::by_name("gcc").unwrap();
-        let r = run_single(app, Mechanism::Baseline, Scale::tiny());
+        let cfg = SystemConfig::paper_default(Mechanism::Baseline);
+        let r = run_job(cfg, &[app], Scale::tiny()).unwrap();
         assert!(r.finished);
         assert!(r.ipc[0] > 0.0);
     }

@@ -50,7 +50,7 @@ pub use campaign::{
 };
 pub use config::{Engine, Mechanism, SystemConfig};
 pub use error::CrowError;
-pub use experiments::{run_mix, run_single, run_with_config, Scale};
+pub use experiments::{run_job, run_job_with, Scale};
 pub use fault::{FaultPlan, FaultStats};
 pub use hammer::{
     AggressorGen, AttackPattern, FlipModel, FlipParams, HammerScenario, HammerState, HammerStats,

@@ -51,12 +51,11 @@ use crate::campaign::{
 use crate::config::{Mechanism, SystemConfig};
 use crate::error::CrowError;
 use crate::exec::{self, lock};
-use crate::experiments::Scale;
+use crate::experiments::{run_job, Scale};
 use crate::json::Json;
 use crate::knobs::Knobs;
 use crate::report::SimReport;
 use crate::supervise::{Admit, IsolationMode, SupCounters, SuperviseConfig, Supervisor};
-use crate::system::System;
 
 // --- configuration ----------------------------------------------------
 
@@ -266,14 +265,21 @@ impl SimJob {
         }
     }
 
-    /// The full journal fingerprint (job + scale), matching
-    /// [`Campaign::fingerprint`] for a campaign at this job's scale.
+    /// The full journal fingerprint: [`Scale::key`] of the job
+    /// fingerprint at this job's scale.
     pub fn journal_fingerprint(&self) -> String {
-        format!("{}@{}", self.fingerprint(), self.scale().fingerprint())
+        self.scale().key(&self.fingerprint())
     }
 
-    /// Builds the system configuration (infallible once validated).
-    fn to_config(&self, mech: Mechanism) -> SystemConfig {
+    /// Builds the system configuration, resolving the mechanism and the
+    /// attack pattern (geometry checks happen in `System::try_new`).
+    ///
+    /// # Errors
+    ///
+    /// A [`CrowError::Request`] for an unknown mechanism or pattern.
+    pub fn to_config(&self) -> Result<SystemConfig, CrowError> {
+        let mech = Mechanism::parse(&self.mechanism)
+            .ok_or_else(|| bad_req(format!("unknown mechanism {:?}", self.mechanism)))?;
         let base = if self.ddr4 {
             SystemConfig::ddr4(mech)
         } else {
@@ -289,12 +295,11 @@ impl SimJob {
             cfg.validate_protocol = true;
         }
         if let Some((pattern, intensity)) = &self.hammer {
-            // The spelling was validated at parse time; geometry checks
-            // happen in `System::try_new`.
-            let p = crate::hammer::AttackPattern::parse(pattern).expect("validated by parse_sim");
+            let p = crate::hammer::AttackPattern::parse(pattern)
+                .ok_or_else(|| bad_req(format!("unknown hammer pattern {pattern:?}")))?;
             cfg = cfg.with_hammer(crate::hammer::HammerScenario::new(p, *intensity));
         }
-        cfg
+        Ok(cfg)
     }
 
     /// The job as a wire-format `{"op":"sim",...}` request — the parent
@@ -1354,11 +1359,6 @@ fn process_job(shared: &Shared, item: QueuedJob) {
 /// `pub(crate)` so the child half of process isolation
 /// ([`crate::supervise::job_runner_main`]) runs the identical function.
 pub(crate) fn run_sim(job: &SimJob, scale: Scale) -> Result<SimReport, CrowError> {
-    let mech = Mechanism::parse(&job.mechanism)
-        .ok_or_else(|| bad_req(format!("unknown mechanism {:?}", job.mechanism)))?;
-    let mut cfg = job.to_config(mech);
-    cfg.cpu.target_insts = scale.insts;
-    cfg.sample = scale.sample;
     let apps: Vec<&'static AppProfile> = job
         .apps
         .iter()
@@ -1366,11 +1366,7 @@ pub(crate) fn run_sim(job: &SimJob, scale: Scale) -> Result<SimReport, CrowError
             AppProfile::by_name(n).ok_or_else(|| bad_req(format!("unknown application {n:?}")))
         })
         .collect::<Result<_, _>>()?;
-    let mut sys = System::try_new(cfg, &apps)?;
-    if scale.warmup > 0 {
-        sys.warm(scale.warmup);
-    }
-    sys.run_checked(scale.max_cycles)
+    run_job(job.to_config()?, &apps, scale)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! System assembly and the main simulation loop.
 
-use crow_circuit::TlDramModel;
+use crow_baselines::TlDramConfig;
 use crow_core::{CrowConfig, CrowStats, CrowSubstrate};
 use crow_cpu::{CpuCluster, CpuMemReq, MemPort};
-use crow_dram::{ActTimingMod, AddrMapper, ChannelStats};
+use crow_dram::{AddrMapper, ChannelStats};
 use crow_energy::EnergyCounter;
 use crow_mem::controller::CacheMode;
 use crow_mem::{Completion, McStats, MemController, MemRequest, ReqKind, SchedStats};
@@ -120,22 +120,9 @@ impl System {
 
     /// Builds a system from explicit instruction traces, one per core
     /// (e.g. recorded traces loaded with `crow_cpu::trace::load_trace`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty or the configuration is inconsistent;
-    /// [`System::try_with_traces`] returns the error instead.
-    pub fn with_traces(cfg: SystemConfig, traces: Vec<Box<dyn crow_cpu::TraceSource>>) -> Self {
-        match Self::try_with_traces(cfg, traces) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`System::with_traces`]: every configuration
-    /// (DRAM geometry/timings, controller, CPU) is validated up front
-    /// and reported as a typed [`CrowError`] instead of a panic deep in
-    /// a constructor.
+    /// Every configuration (DRAM geometry/timings, controller, CPU) is
+    /// validated up front and reported as a typed [`CrowError`] instead
+    /// of a panic deep in a constructor.
     ///
     /// # Errors
     ///
@@ -229,25 +216,11 @@ impl System {
                     mc.enable_event_log();
                 }
                 if let Mechanism::TlDram { near_rows } = cfg.mechanism {
-                    let model = TlDramModel::calibrated();
-                    let near_trcd = model.near_trcd_ratio(u32::from(near_rows));
-                    let near_tras = model.near_tras_ratio(u32::from(near_rows));
-                    let near = ActTimingMod {
-                        trcd: near_trcd,
-                        tras_full: near_tras,
-                        tras_early: near_tras,
-                        twr_full: near_tras.max(0.2),
-                        twr_early: near_tras.max(0.2),
-                    };
-                    let f = model.far_ratio();
-                    let far = ActTimingMod {
-                        trcd: f,
-                        tras_full: f,
-                        tras_early: f,
-                        twr_full: f,
-                        twr_early: f,
-                    };
-                    mc.set_cache_mode(CacheMode::TlDram { near, far });
+                    let tl = TlDramConfig { near_rows };
+                    mc.set_cache_mode(CacheMode::TlDram {
+                        near: tl.near_mod(),
+                        far: tl.far_mod(),
+                    });
                 }
                 if cfg.oracle && !matches!(cfg.mechanism, Mechanism::TlDram { .. }) {
                     mc.attach_oracle();
@@ -413,12 +386,6 @@ impl System {
     /// [`System::stepped_cycles`]; kept out of the report likewise.
     pub fn stepped_core_cycles(&self) -> u64 {
         self.cluster.stepped_core_cycles()
-    }
-
-    /// Direct access to the active attack scenario's state
-    /// (tests/diagnostics); `None` when no scenario is configured.
-    pub fn hammer_state(&self) -> Option<&HammerState> {
-        self.hammer.as_ref()
     }
 
     /// Advances the system by one CPU cycle: due injections, the memory
@@ -988,8 +955,13 @@ mod tests {
             fault_plan: Some(crate::fault::FaultPlan { drop_interval: 0 }),
             ..base.clone()
         };
+        let bad_salp = SystemConfig::quick_test(Mechanism::Salp {
+            subarrays: 7,
+            open_page: false,
+        });
         for (cfg, want) in [
             (bad_dram, "invalid DramConfig"),
+            (bad_salp, "invalid DramConfig"),
             (bad_mc, "invalid McConfig"),
             (zero_vrt, "vrt_interval_cycles must be positive"),
             (zero_drop, "fault_plan.drop_interval must be positive"),

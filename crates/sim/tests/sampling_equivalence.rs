@@ -11,6 +11,11 @@ use crow_sim::sampling::SamplePlan;
 use crow_sim::{Engine, Mechanism, System, SystemConfig};
 use crow_workloads::AppProfile;
 
+/// Simulated CPU-cycle cap per run: far above what any run here needs
+/// (the longest takes about 0.7M), so an engine that loses a completion
+/// fails the `finished` check instead of hanging the test.
+const MAX_CYCLES: u64 = 50_000_000;
+
 const MATRIX: [(Engine, SchedImpl); 4] = [
     (Engine::Naive, SchedImpl::Linear),
     (Engine::Naive, SchedImpl::Indexed),
@@ -41,7 +46,11 @@ fn run_sampled(
     cfg.cpu.target_insts = insts;
     cfg.sample = Some(plan);
     let mut sys = System::new(cfg, &[profile]);
-    let mut r = sys.run(u64::MAX);
+    let mut r = sys.run(MAX_CYCLES);
+    assert!(
+        r.finished,
+        "{mechanism:?}/{app} under {engine:?}/{sched_impl:?}"
+    );
     normalize(&mut r);
     r
 }
@@ -111,7 +120,8 @@ fn sampled_runs_stay_clean_under_the_data_integrity_oracle() {
         });
         cfg.oracle = true;
         let mut sys = System::new(cfg, &[profile]);
-        let r = sys.run(u64::MAX);
+        let r = sys.run(MAX_CYCLES);
+        assert!(r.finished, "{mechanism:?}/{app}");
         assert!(
             r.samples.as_ref().is_some_and(|s| s.windows >= 2),
             "{mechanism:?}/{app}: sampling engaged",
@@ -134,7 +144,8 @@ fn degenerate_plan_reproduces_the_full_run_exactly() {
             cfg.cpu.target_insts = total;
             cfg.sample = sample;
             let mut sys = System::new(cfg, &[profile]);
-            let mut r = sys.run(u64::MAX);
+            let mut r = sys.run(MAX_CYCLES);
+            assert!(r.finished, "{mechanism:?}, sampled: {}", sample.is_some());
             normalize(&mut r);
             r
         };

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use crow::sim::{Mechanism, Scale, SystemConfig};
+use crow::sim::{run_job, Mechanism, Scale, SystemConfig};
 use crow::workloads::AppProfile;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         Mechanism::crow_combined(),
     ] {
         let cfg = SystemConfig::paper_default(mech);
-        let report = crow::sim::run_with_config(cfg, &[app], scale);
+        let report = run_job(cfg, &[app], scale).expect("the paper platform runs mcf");
         println!(
             "{:<12} ipc {:.3} | avg read latency {:>6.1} mem cycles | \
              row hit rate {:.2} | CROW hit rate {:.2} | refreshes {:>4} | energy {:.2} mJ",

@@ -8,7 +8,7 @@
 
 use crow::core::retention::RetentionProfile;
 use crow::core::{weakrows, CrowConfig, CrowSubstrate};
-use crow::sim::{Mechanism, Scale, SystemConfig};
+use crow::sim::{run_job, Mechanism, Scale, SystemConfig};
 use crow::workloads::AppProfile;
 
 fn main() {
@@ -48,16 +48,12 @@ fn main() {
     let app = AppProfile::by_name("libq").unwrap();
     let scale = Scale::from_env().expect("CROW_* scale overrides must be unsigned integers");
     for density in [8u32, 16, 32, 64] {
-        let base = crow::sim::run_with_config(
-            SystemConfig::paper_default(Mechanism::Baseline).with_density(density),
-            &[app],
-            scale,
-        );
-        let cref = crow::sim::run_with_config(
-            SystemConfig::paper_default(Mechanism::crow_ref()).with_density(density),
-            &[app],
-            scale,
-        );
+        let run = |mech| {
+            let cfg = SystemConfig::paper_default(mech).with_density(density);
+            run_job(cfg, &[app], scale).expect("the paper platform runs libq")
+        };
+        let base = run(Mechanism::Baseline);
+        let cref = run(Mechanism::crow_ref());
         println!(
             "{density:>2} Gbit: speedup {:.3} | energy {:.3} | refreshes {} -> {}",
             cref.ipc[0] / base.ipc[0],

@@ -12,17 +12,14 @@
 //! ```
 
 use crow::dram::MraTimings;
-use crow::sim::{run_with_config, Mechanism, Scale, SystemConfig};
+use crow::sim::{run_job, Mechanism, Scale, SystemConfig};
 use crow::workloads::AppProfile;
 
 fn main() {
     let app = AppProfile::by_name("mcf").unwrap();
     let scale = Scale::from_env().expect("CROW_* scale overrides must be unsigned integers");
-    let base = run_with_config(
-        SystemConfig::paper_default(Mechanism::Baseline),
-        &[app],
-        scale,
-    );
+    let run = |cfg| run_job(cfg, &[app], scale).expect("the paper platform runs mcf");
+    let base = run(SystemConfig::paper_default(Mechanism::Baseline));
     println!("workload: {} | baseline IPC {:.3}", app.name, base.ipc[0]);
     println!("tRCD cut | ACT-t tRCD scale | speedup vs baseline | CROW hit rate");
     for cut_pct in [0u32, 10, 21, 30, 38, 50] {
@@ -31,7 +28,7 @@ fn main() {
         mra.act_t_partial.trcd = (1.0 - f64::from(cut_pct) / 100.0).min(0.95);
         let mut cfg = SystemConfig::paper_default(Mechanism::crow_cache(8));
         cfg.mra_override = Some(mra);
-        let r = run_with_config(cfg, &[app], scale);
+        let r = run(cfg);
         println!(
             "  -{cut_pct:>2}%   |       {:>4.2}       |        {:.3}        |     {:.2}",
             1.0 - f64::from(cut_pct) / 100.0,

@@ -2,21 +2,26 @@
 //! mechanism, data-integrity verification, determinism, and the
 //! qualitative orderings the paper's evaluation rests on.
 
-use crow::sim::{run_with_config, Mechanism, Scale, SimReport, System, SystemConfig};
+use crow::sim::{run_job, Mechanism, Scale, SimReport, SystemConfig};
 use crow::workloads::AppProfile;
 
 fn app(name: &str) -> &'static AppProfile {
     AppProfile::by_name(name).unwrap()
 }
 
+/// `quick_test`'s 30 000 instructions per core, without warmup.
+fn quick_scale(max_cycles: u64) -> Scale {
+    Scale {
+        warmup: 0,
+        max_cycles,
+        ..Scale::tiny()
+    }
+}
+
 fn quick(mechanism: Mechanism, name: &str, oracle: bool) -> SimReport {
     let mut cfg = SystemConfig::quick_test(mechanism);
     cfg.oracle = oracle;
-    let mut sys = System::new(cfg, &[app(name)]);
-    let r = sys.run(40_000_000);
-    if oracle {
-        sys.assert_data_integrity();
-    }
+    let r = run_job(cfg, &[app(name)], quick_scale(40_000_000)).unwrap();
     assert!(r.finished, "{name} under {mechanism:?} did not finish");
     r
 }
@@ -80,7 +85,7 @@ fn combined_mechanism_beats_each_alone_on_dense_chips() {
     let apps = [app("mcf")];
     let run = |mech| {
         let cfg = SystemConfig::paper_default(mech).with_density(64);
-        run_with_config(cfg, &apps, scale)
+        run_job(cfg, &apps, scale).unwrap()
     };
     let base = run(Mechanism::Baseline);
     let cache = run(Mechanism::crow_cache(8));
@@ -111,7 +116,7 @@ fn crow_ref_halves_refresh_rate_and_saves_energy_at_64gbit() {
     };
     let run = |mech| {
         let cfg = SystemConfig::paper_default(mech).with_density(64);
-        run_with_config(cfg, &[app("libq")], scale)
+        run_job(cfg, &[app("libq")], scale).unwrap()
     };
     let base = run(Mechanism::Baseline);
     let cref = run(Mechanism::crow_ref());
@@ -129,12 +134,13 @@ fn crow_ref_halves_refresh_rate_and_saves_energy_at_64gbit() {
 fn data_integrity_holds_under_four_core_contention() {
     let mut cfg = SystemConfig::quick_test(Mechanism::crow_combined());
     cfg.oracle = true;
-    cfg.cpu.target_insts = 12_000;
     let apps = [app("mcf"), app("milc"), app("omnetpp"), app("tpcc64")];
-    let mut sys = System::new(cfg, &apps);
-    let r = sys.run(100_000_000);
+    let scale = Scale {
+        insts: 12_000,
+        ..quick_scale(100_000_000)
+    };
+    let r = run_job(cfg, &apps, scale).unwrap();
     assert!(r.finished);
-    sys.assert_data_integrity();
     assert!(r.crow.cache_hits > 0);
 }
 
@@ -143,8 +149,7 @@ fn runs_are_deterministic_per_seed() {
     let run = |seed: u64| {
         let mut cfg = SystemConfig::quick_test(Mechanism::crow_combined());
         cfg.seed = seed;
-        let mut sys = System::new(cfg, &[app("soplex")]);
-        sys.run(40_000_000)
+        run_job(cfg, &[app("soplex")], quick_scale(40_000_000)).unwrap()
     };
     let a = run(1);
     let b = run(1);
@@ -158,16 +163,9 @@ fn runs_are_deterministic_per_seed() {
 #[test]
 fn prefetcher_helps_streaming_workloads() {
     let scale = Scale::tiny();
-    let base = run_with_config(
-        SystemConfig::quick_test(Mechanism::Baseline),
-        &[app("libq")],
-        scale,
-    );
-    let pf = run_with_config(
-        SystemConfig::quick_test(Mechanism::Baseline).with_prefetcher(),
-        &[app("libq")],
-        scale,
-    );
+    let run = |cfg| run_job(cfg, &[app("libq")], scale).unwrap();
+    let base = run(SystemConfig::quick_test(Mechanism::Baseline));
+    let pf = run(SystemConfig::quick_test(Mechanism::Baseline).with_prefetcher());
     assert!(
         pf.ipc[0] > base.ipc[0] * 1.02,
         "prefetch {} vs base {}",
