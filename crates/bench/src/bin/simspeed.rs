@@ -2,14 +2,19 @@
 //! stepper, the event-driven engine with the linear-scan scheduler
 //! (the previous generation), the event-driven engine with the indexed
 //! scheduler, and an interval-sampled run, reporting simulated CPU
-//! cycles per wall-clock second and writing `BENCH_simspeed.json`.
+//! cycles per wall-clock second, times the LLC on its own, and writes
+//! `BENCH_simspeed.json`.
 //!
 //! ```sh
 //! cargo run -p crow-bench --release --bin simspeed
 //! ```
 
 use std::fmt::Write as _;
+use std::hint::black_box;
+use std::time::Instant;
 
+use crow_cpu::cache::LlcResult;
+use crow_cpu::{AccessKind, Llc};
 use crow_mem::SchedImpl;
 use crow_sim::{Engine, Mechanism, System, SystemConfig};
 use crow_workloads::AppProfile;
@@ -129,7 +134,73 @@ fn measure_sampled(case: &Case, reps: u32) -> (f64, f64, f64) {
     )
 }
 
+/// The LLC on its own, for the paper's 8 MiB 8-way cache: `Llc::new`,
+/// and the cost of one access over a fixed stream of `LLC_ACCESSES`
+/// (the detailed path's access, plus the fill after a read miss) with
+/// that stream's hit ratio. Half the stream falls in a 4 MiB region the
+/// cache holds and half across 64 MiB; one access in four is a store.
+/// `Llc::new` is timed once, first in the process, so its memory is fresh
+/// as in a new simulation process (the allocator may hand later
+/// constructions memory it kept); the access cost is the best of `reps`
+/// repetitions, each on a new cache.
+struct LlcCost {
+    new_us: f64,
+    ns_per_access: f64,
+    hit_ratio: f64,
+}
+
+const LLC_ACCESSES: usize = 2_000_000;
+
+fn measure_llc(reps: u32) -> LlcCost {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let stream: Vec<(u64, AccessKind)> = (0..LLC_ACCESSES)
+        .map(|_| {
+            // xorshift64, so every run replays the same stream.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let span: u64 = if x & 1 == 0 { 4 << 20 } else { 64 << 20 };
+            let kind = if x & 6 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            (((x >> 8) % span) & !63, kind)
+        })
+        .collect();
+    let mut best = LlcCost {
+        new_us: 0.0,
+        ns_per_access: f64::INFINITY,
+        hit_ratio: 0.0,
+    };
+    for rep in 0..reps {
+        let t = Instant::now();
+        let mut llc = black_box(Llc::new(8 << 20, 8));
+        if rep == 0 {
+            best.new_us = t.elapsed().as_secs_f64() * 1e6;
+        }
+        let t = Instant::now();
+        for &(pa, kind) in &stream {
+            if let LlcResult::Miss { .. } = llc.access(black_box(pa), kind) {
+                if kind == AccessKind::Read {
+                    llc.fill(pa);
+                }
+            }
+        }
+        let ns = t.elapsed().as_secs_f64() * 1e9 / LLC_ACCESSES as f64;
+        best.ns_per_access = best.ns_per_access.min(ns);
+        best.hit_ratio = llc.hits() as f64 / LLC_ACCESSES as f64;
+    }
+    best
+}
+
 fn main() {
+    let llc = measure_llc(5);
+    println!(
+        "LLC 8 MiB 8-way: new {:.1} us, {:.2} ns/access over {LLC_ACCESSES} accesses, hit ratio {:.4}",
+        llc.new_us, llc.ns_per_access, llc.hit_ratio
+    );
+
     let cases = [
         Case {
             app: "povray", // low MPKI: long mechanical bubble streams
@@ -260,9 +331,16 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         );
     }
+    let _ = write!(
+        json,
+        "  ],\n  \"llc\": {{\"config\": \"8 MiB 8-way\", \"new_us\": {:.1}, \
+         \"ns_per_access\": {:.2}, \"accesses\": {LLC_ACCESSES}, \"hit_ratio\": {:.4}}},\n",
+        llc.new_us, llc.ns_per_access, llc.hit_ratio
+    );
     json.push_str(
-        "  ],\n  \"notes\": {\n\
-         \x20   \"sampled\": \"sampled columns compare the event/indexed configuration full vs interval-sampled (default 20000:10000:170000 plan) at 2M insts/core; sampled_cycles_per_sec is full-run simulated cycles over sampled wall; the 2% IPC-accuracy contract is asserted by sampling_gate on the 4-channel paper platform — the single-channel quick_test platform timed here drifts slightly further (povray ~3%, CROW-8/random ~7% long-FF restore drift)\"\n\
+        "  \"notes\": {\n\
+         \x20   \"sampled\": \"sampled columns compare the event/indexed configuration full vs interval-sampled (default 20000:10000:170000 plan) at 2M insts/core; sampled_cycles_per_sec is full-run simulated cycles over sampled wall; the 2% IPC-accuracy contract is asserted by sampling_gate on the 4-channel paper platform — the single-channel quick_test platform timed here drifts slightly further (povray ~3%, CROW-8/random ~7% long-FF restore drift)\",\n\
+         \x20   \"llc\": \"Llc::new and one access (plus the fill after a read miss) over a fixed 2M-access stream, half within 4 MiB and half across 64 MiB, one in four a store; new_us is the first construction in the process, ns_per_access the best of 5 runs, each on a new cache\"\n\
          \x20 }\n}\n",
     );
     std::fs::write("BENCH_simspeed.json", &json).expect("write BENCH_simspeed.json");

@@ -358,7 +358,7 @@ fn main() {
     policy.timeout = args
         .timeout
         .filter(|&s| s > 0.0)
-        .map(std::time::Duration::from_secs_f64);
+        .map(|s| std::time::Duration::try_from_secs_f64(s).unwrap_or_else(|_| usage()));
     policy.max_retries = if supervised {
         args.retries.unwrap_or(1)
     } else {

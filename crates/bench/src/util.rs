@@ -407,6 +407,19 @@ fn alone_run(app: &'static AppProfile, scale: Scale) -> Result<SimReport, CrowEr
     )
 }
 
+/// An alone run's IPC as a weighted-speedup divisor: floored at 1e-9 so
+/// a run that retired nothing cannot divide by zero. A failed run's NaN
+/// passes through (`f64::max` would floor it too), so its mixes read NaN
+/// instead of a speedup about 1e9 times too large.
+fn alone_ipc(r: &SimReport) -> f64 {
+    let ipc = r.ipc[0];
+    if ipc < 1e-9 {
+        1e-9
+    } else {
+        ipc
+    }
+}
+
 /// Caches alone-run IPCs (baseline mechanism) for weighted-speedup
 /// computations across many mixes.
 #[derive(Debug, Default)]
@@ -425,8 +438,7 @@ impl AloneIpcCache {
         if let Some(&v) = self.map.get(app.name) {
             return v;
         }
-        let r = alone_run(app, scale).unwrap_or_else(|_| failed_report());
-        let v = r.ipc[0].max(1e-9);
+        let v = alone_ipc(&alone_run(app, scale).unwrap_or_else(|_| failed_report()));
         self.map.insert(app.name, v);
         v
     }
@@ -451,7 +463,7 @@ impl AloneIpcCache {
             .collect();
         let reports = camp.run(jobs, |app, scale| alone_run(app, scale));
         for (app, r) in uniq.iter().zip(reports) {
-            self.map.insert(app.name, r.ipc[0].max(1e-9));
+            self.map.insert(app.name, alone_ipc(&r));
         }
     }
 }
@@ -484,6 +496,16 @@ mod tests {
         let apps = fig_apps();
         assert!(apps.len() >= 10);
         assert!(apps.iter().any(|a| a.name == "mcf"));
+    }
+
+    #[test]
+    fn alone_ipc_floors_a_number_and_keeps_nan() {
+        assert!(alone_ipc(&failed_report()).is_nan());
+        let mut r = failed_report();
+        r.ipc[0] = 0.0;
+        assert_eq!(alone_ipc(&r), 1e-9);
+        r.ipc[0] = 0.75;
+        assert_eq!(alone_ipc(&r), 0.75);
     }
 
     #[test]

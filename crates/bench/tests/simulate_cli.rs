@@ -122,14 +122,23 @@ fn bad_configurations_are_rejected_without_a_panic() {
             "invalid SystemConfig: vrt_interval_cycles must be positive",
         ),
         (["--mechanism", "salp-7"], "invalid DramConfig"),
+        (["--llc-mib", "3"], "invalid CpuConfig"),
     ] {
         let out = simulate(&args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert!(err.contains(want), "{args:?}: {err}");
     }
-    let out = simulate(&["--hammer-intensity", "500000"]);
-    let err = stderr(&out);
-    assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(err.contains("--hammer-intensity needs --hammer"), "{err}");
+    for (args, want) in [
+        (
+            &["--hammer-intensity", "500000"][..],
+            "--hammer-intensity needs --hammer",
+        ),
+        (&["--timeout", "inf"], "usage: simulate"),
+    ] {
+        let out = simulate(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
 }

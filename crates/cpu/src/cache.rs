@@ -24,12 +24,24 @@ pub enum LlcResult {
     },
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
+const LINE_BYTES: u64 = 64;
+
+/// The set count of a cache of `capacity_bytes` with `ways` ways of 64 B
+/// lines.
+///
+/// # Errors
+///
+/// Describes the violated constraint: `ways` outside 1..=16, or a set
+/// count that is not a nonzero power of two.
+pub fn llc_sets(capacity_bytes: u64, ways: usize) -> Result<u64, String> {
+    if !(1..=16).contains(&ways) {
+        return Err(format!("LLC ways must be in 1..=16, got {ways}"));
+    }
+    let sets = capacity_bytes / (ways as u64 * LINE_BYTES);
+    if !sets.is_power_of_two() {
+        return Err(format!("LLC set count must be a power of two, got {sets}"));
+    }
+    Ok(sets)
 }
 
 /// A set-associative, writeback LLC with LRU replacement.
@@ -38,13 +50,23 @@ struct Line {
 /// (write-validate — the whole line is considered overwritten, so no
 /// fetch is required; this keeps the simple core model free of
 /// read-for-ownership traffic).
-#[derive(Debug, Clone)]
+///
+/// Way `w` of set `s` is entry `s * ways + w` of `tags` and `ranks`. A
+/// tag is stored plus one, so 0 marks an invalid way and the zeroed
+/// allocation is an empty cache whose untouched pages are never faulted
+/// in. A way's rank is its position in the set's recency order (0 = most
+/// recently touched). The valid ways of a set hold the ranks `0..n`, and
+/// ways fill in order and never empty, so the invalid ways are the set's
+/// tail and their ranks mean nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Llc {
-    sets: Vec<[Line; 16]>,
+    tags: Vec<u64>,
+    ranks: Vec<u8>,
+    /// Bit `w` of set `s`'s mask marks way `w` dirty.
+    dirty: Vec<u16>,
     ways: usize,
     set_mask: u64,
-    line_shift: u32,
-    tick: u64,
+    set_bits: u32,
     hits: u64,
     misses: u64,
 }
@@ -55,22 +77,16 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics unless capacity/ways yield a power-of-two set count and
-    /// `ways <= 16`.
+    /// Panics if [`llc_sets`] rejects the geometry.
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
-        assert!((1..=16).contains(&ways), "1..=16 ways supported");
-        let line_bytes = 64u64;
-        let sets = capacity_bytes / (ways as u64 * line_bytes);
-        assert!(
-            sets.is_power_of_two() && sets > 0,
-            "set count must be a power of two, got {sets}"
-        );
+        let sets = llc_sets(capacity_bytes, ways).unwrap_or_else(|e| panic!("{e}"));
         Self {
-            sets: vec![[Line::default(); 16]; sets as usize],
+            tags: vec![0; sets as usize * ways],
+            ranks: vec![0; sets as usize * ways],
+            dirty: vec![0; sets as usize],
             ways,
             set_mask: sets - 1,
-            line_shift: 6,
-            tick: 0,
+            set_bits: sets.trailing_zeros(),
             hits: 0,
             misses: 0,
         }
@@ -96,148 +112,105 @@ impl Llc {
         }
     }
 
+    /// `pa`'s set and its stored tag (the tag plus one).
     fn index(&self, pa: u64) -> (usize, u64) {
-        let line = pa >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let line = pa / LINE_BYTES;
+        ((line & self.set_mask) as usize, (line >> self.set_bits) + 1)
     }
 
     /// Accesses the cache. Write misses install the line immediately;
     /// read misses do *not* install (call [`Llc::fill`] when the fill
     /// returns, mirroring the timing of a real hierarchy).
     pub fn access(&mut self, pa: u64, kind: AccessKind) -> LlcResult {
-        let (set, tag) = self.index(pa);
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.ways;
-        let lines = &mut self.sets[set];
-        for l in lines.iter_mut().take(ways) {
-            if l.valid && l.tag == tag {
-                l.lru = tick;
-                if kind == AccessKind::Write {
-                    l.dirty = true;
-                }
-                self.hits += 1;
-                return LlcResult::Hit;
-            }
-        }
-        self.misses += 1;
-        let writeback = if kind == AccessKind::Write {
-            self.install(pa, true)
-        } else {
-            None
-        };
-        LlcResult::Miss { writeback }
+        let write = kind == AccessKind::Write;
+        let r = self.lookup(pa, write, write);
+        self.count(r)
     }
 
-    /// Single-pass access-plus-install for functional warmup: a hit
-    /// updates recency exactly like [`Llc::access`]; a miss installs the
-    /// line in the same pass (dirty for writes, clean for reads) and
-    /// reports the dirty victim. State evolution — tick counts, LRU
-    /// stamps, hit/miss counters — is bit-identical to the
-    /// `access` + `fill` pair the detailed path issues, but one way scan
-    /// replaces the three that pair costs on a read miss.
-    pub fn warm_access(&mut self, pa: u64, kind: AccessKind) -> (bool, Option<u64>) {
-        let (set, tag) = self.index(pa);
-        self.tick += 1;
-        let ways = self.ways;
-        let set_bits = self.set_mask.count_ones();
-        let line_shift = self.line_shift;
-        let lines = &mut self.sets[set];
-        let mut victim = 0usize;
-        let mut victim_key = (2u8, u64::MAX);
-        for (w, l) in lines.iter_mut().enumerate().take(ways) {
-            if l.valid && l.tag == tag {
-                l.lru = self.tick;
-                if kind == AccessKind::Write {
-                    l.dirty = true;
-                }
-                self.hits += 1;
-                return (false, None);
-            }
-            let key = if l.valid { (1, l.lru) } else { (0, 0) };
-            if key < victim_key {
-                victim_key = key;
-                victim = w;
-            }
-        }
-        self.misses += 1;
-        // Second tick mirrors the separate install/fill the detailed
-        // path performs, keeping warmed state bit-identical to it.
-        self.tick += 1;
-        let old = lines[victim];
-        lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: kind == AccessKind::Write,
-            lru: self.tick,
-        };
-        if old.valid && old.dirty {
-            let line = (old.tag << set_bits) | set as u64;
-            (true, Some(line << line_shift))
-        } else {
-            (true, None)
-        }
+    /// A load's lookup: on a hit, touches the line exactly like
+    /// [`Llc::access`] and returns `true`; on a miss, changes neither the
+    /// cache nor its counters, so a load whose dispatch then stalls
+    /// leaves no trace. A dispatched miss is counted by `access`.
+    pub fn read_hit(&mut self, pa: u64) -> bool {
+        let hit = self.lookup(pa, false, false) == LlcResult::Hit;
+        self.hits += u64::from(hit);
+        hit
+    }
+
+    /// Access-plus-install for functional warmup: [`Llc::access`]
+    /// followed, on a read miss, by [`Llc::fill`], in one lookup. A miss
+    /// reports the dirty victim its install evicted.
+    pub fn warm_access(&mut self, pa: u64, kind: AccessKind) -> LlcResult {
+        let r = self.lookup(pa, kind == AccessKind::Write, true);
+        self.count(r)
     }
 
     /// Probes without updating state (used by the prefetcher).
     pub fn probe(&self, pa: u64) -> bool {
         let (set, tag) = self.index(pa);
-        self.sets[set]
-            .iter()
-            .take(self.ways)
-            .any(|l| l.valid && l.tag == tag)
+        self.tags[set * self.ways..(set + 1) * self.ways].contains(&tag)
     }
 
     /// Installs a fetched line (read fill or prefetch fill); returns a
     /// dirty victim to write back, if one was evicted.
     pub fn fill(&mut self, pa: u64) -> Option<u64> {
-        self.install(pa, false)
+        match self.lookup(pa, false, true) {
+            LlcResult::Hit => None,
+            LlcResult::Miss { writeback } => writeback,
+        }
     }
 
-    fn install(&mut self, pa: u64, dirty: bool) -> Option<u64> {
-        let (set, tag) = self.index(pa);
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.ways;
-        let set_bits = self.set_mask.count_ones();
-        let line_shift = self.line_shift;
-        let lines = &mut self.sets[set];
-        // Already present (racing fill): refresh.
-        if let Some(l) = lines
-            .iter_mut()
-            .take(ways)
-            .find(|l| l.valid && l.tag == tag)
-        {
-            l.lru = tick;
-            l.dirty |= dirty;
-            return None;
-        }
-        // Choose an invalid way or the LRU victim.
-        let victim = (0..ways)
-            .min_by_key(|&w| {
-                if lines[w].valid {
-                    (1, lines[w].lru)
-                } else {
-                    (0, 0)
-                }
-            })
-            .expect("ways >= 1");
-        let old = lines[victim];
-        lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty,
-            lru: tick,
-        };
-        if old.valid && old.dirty {
-            let line = (old.tag << set_bits) | set as u64;
-            Some(line << line_shift)
+    fn count(&mut self, r: LlcResult) -> LlcResult {
+        if r == LlcResult::Hit {
+            self.hits += 1;
         } else {
-            None
+            self.misses += 1;
         }
+        r
+    }
+
+    /// The one find/victim/replace path under every mutating operation.
+    /// A hit makes the line the set's most recent (and dirty if `dirty`).
+    /// A miss changes nothing unless `install` is set; then the line
+    /// replaces the first invalid way, else the least recent one
+    /// (rank `ways - 1`), and a dirty victim's address is returned.
+    fn lookup(&mut self, pa: u64, dirty: bool, install: bool) -> LlcResult {
+        let (set, tag) = self.index(pa);
+        let set_bits = self.set_bits;
+        let span = set * self.ways..(set + 1) * self.ways;
+        let tags = &mut self.tags[span.clone()];
+        let ranks = &mut self.ranks[span];
+        let mask = &mut self.dirty[set];
+        let (way, result) = match tags.iter().position(|&t| t == tag) {
+            Some(w) => (w, LlcResult::Hit),
+            None if !install => return LlcResult::Miss { writeback: None },
+            None => {
+                let lru = ranks.len() as u8 - 1;
+                let w = tags.iter().position(|&t| t == 0).unwrap_or_else(|| {
+                    ranks
+                        .iter()
+                        .position(|&r| r == lru)
+                        .expect("the valid ways of a full set hold every rank")
+                });
+                let old = std::mem::replace(&mut tags[w], tag);
+                let writeback = ((*mask >> w) & 1 == 1)
+                    .then(|| (((old - 1) << set_bits) | set as u64) * LINE_BYTES);
+                *mask &= !(1 << w);
+                // Older than every way, so all of them age by one below.
+                ranks[w] = lru + 1;
+                (w, LlcResult::Miss { writeback })
+            }
+        };
+        let r = ranks[way];
+        // A hit on the most recent way reorders nothing.
+        if r != 0 {
+            for x in ranks.iter_mut() {
+                *x += u8::from(*x < r);
+            }
+            ranks[way] = 0;
+        }
+        *mask |= u16::from(dirty) << way;
+        result
     }
 }
 

@@ -201,12 +201,6 @@ impl CpuCluster {
         debug_assert!(self.settled(), "functional warmup with deferred cores");
         for i in 0..self.cores.len() {
             let mut done = 0u64;
-            // One-entry TLB: translate() is a hash lookup per access and
-            // most workloads reuse the last page heavily. Caching only
-            // repeats translations the table has already made, so the
-            // physical addresses (and first-touch allocation order) are
-            // unchanged.
-            let mut tlb: Option<(u64, u64)> = None;
             while done < instructions {
                 self.cores[i].refill_pending();
                 if self.cores[i].trace_fault().is_some() {
@@ -220,30 +214,19 @@ impl CpuCluster {
                     break;
                 }
                 if let Some(acc) = self.cores[i].take_access() {
-                    let vpage = acc.vaddr >> crate::page::PAGE_SHIFT;
-                    let pa = match tlb {
-                        Some((v, base)) if v == vpage => {
-                            base | (acc.vaddr & ((1 << crate::page::PAGE_SHIFT) - 1))
-                        }
-                        _ => {
-                            let pa = self.pages[i].translate(acc.vaddr);
-                            tlb = Some((vpage, pa & !((1 << crate::page::PAGE_SHIFT) - 1)));
-                            pa
-                        }
-                    };
+                    let pa = self.pages[i].translate(acc.vaddr);
                     let kind = if acc.is_write {
                         AccessKind::Write
                     } else {
                         AccessKind::Read
                     };
-                    let (missed, victim) = self.llc.warm_access(pa, kind);
-                    if missed {
+                    if let LlcResult::Miss { writeback } = self.llc.warm_access(pa, kind) {
                         miss(pa & !63);
                         // Dirty read-fill victims also reach memory; the
                         // detailed path drops write-install victims here
                         // too, so the observer stream matches it.
                         if !acc.is_write {
-                            if let Some(victim) = victim {
+                            if let Some(victim) = writeback {
                                 miss(victim);
                             }
                         }
@@ -371,10 +354,10 @@ impl CpuCluster {
                 self.cores[i].dispatch_ready(now);
                 continue;
             }
-            // Load. Probe first so stalled dispatch attempts do not
-            // perturb hit/miss statistics or LRU state.
-            if self.llc.probe(line) {
-                let _ = self.llc.access(pa, AccessKind::Read);
+            // Load. A miss leaves the LLC untouched, so a dispatch that
+            // stalls below perturbs no hit/miss statistics or LRU state;
+            // each branch that dispatches the miss counts it.
+            if self.llc.read_hit(pa) {
                 let ready = now + self.cfg.llc_hit_cycles;
                 self.cores[i].dispatch_ready(ready);
             } else if let Some(m) = self.outstanding.iter().position(|e| e.line == line) {

@@ -67,7 +67,7 @@ impl CpuConfig {
         if self.mshrs == 0 {
             return Err("at least one MSHR is required".into());
         }
-        Ok(())
+        crate::cache::llc_sets(self.llc_bytes, self.llc_ways).map(drop)
     }
 }
 
@@ -102,5 +102,20 @@ mod tests {
         let mut c = CpuConfig::paper_default();
         c.mshrs = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn bad_llc_geometry_rejected() {
+        for (bytes, ways, want) in [
+            (3 << 20, 8, "power of two, got 6144"),
+            (8 << 20, 0, "1..=16, got 0"),
+            (8 << 20, 17, "1..=16, got 17"),
+            (32, 1, "power of two, got 0"),
+        ] {
+            let mut c = CpuConfig::paper_default().with_llc_bytes(bytes);
+            c.llc_ways = ways;
+            let e = c.validate().unwrap_err();
+            assert!(e.contains(want), "{bytes} B, {ways} ways: {e}");
+        }
     }
 }

@@ -8,10 +8,13 @@
 //!   128-entry instruction window, loads that block retirement until
 //!   their fill returns, posted stores, and 8 MSHRs per core (Table 2).
 //! * [`Llc`] — the shared last-level cache (8 MiB, 8-way, 64 B lines by
-//!   default), writeback + write-validate allocation.
+//!   default), writeback + write-validate allocation, true LRU. It holds
+//!   a tag and a recency rank per way, `sets × ways` of each, and a dirty
+//!   mask per set; every update goes through one lookup.
 //! * [`PageTable`] — virtual-to-physical translation that allocates a
 //!   *random* 4 KiB frame on first touch, emulating a steady-state
-//!   system's page placement \[85\].
+//!   system's page placement \[85\]. It memoizes the last page's
+//!   translation.
 //! * [`StridePrefetcher`] — a reference-prediction-table-style stride
 //!   prefetcher (§8.1.5; region-indexed rather than PC-indexed because
 //!   traces carry no program counters).

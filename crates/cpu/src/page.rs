@@ -18,6 +18,12 @@ pub struct PageTable {
     used: HashSet<u64>,
     rng: StdRng,
     frames: u64,
+    /// The last translated virtual page and its frame. Most accesses
+    /// reuse the last page, and the memo spares them the hash lookup; it
+    /// only repeats a translation the table already made, so frames and
+    /// first-touch order are unchanged. No virtual page is `u64::MAX`,
+    /// so that marks an empty memo.
+    last: (u64, u64),
 }
 
 /// 4 KiB pages.
@@ -37,13 +43,22 @@ impl PageTable {
             used: HashSet::new(),
             rng: StdRng::seed_from_u64(seed),
             frames,
+            last: (u64::MAX, 0),
         }
     }
 
     /// Translates a virtual address, allocating a frame on first touch.
     pub fn translate(&mut self, vaddr: u64) -> u64 {
         let vpage = vaddr >> PAGE_SHIFT;
-        let frame = match self.map.get(&vpage) {
+        if self.last.0 != vpage {
+            self.last = (vpage, self.frame(vpage));
+        }
+        (self.last.1 << PAGE_SHIFT) | (vaddr & ((1 << PAGE_SHIFT) - 1))
+    }
+
+    /// The frame of `vpage`, allocated on first touch.
+    fn frame(&mut self, vpage: u64) -> u64 {
+        match self.map.get(&vpage) {
             Some(&f) => f,
             None => {
                 assert!(
@@ -59,8 +74,7 @@ impl PageTable {
                 self.map.insert(vpage, f);
                 f
             }
-        };
-        (frame << PAGE_SHIFT) | (vaddr & ((1 << PAGE_SHIFT) - 1))
+        }
     }
 
     /// Number of mapped pages.
@@ -83,6 +97,8 @@ mod tests {
         let c = pt.translate(0x1abc);
         assert_eq!(c >> PAGE_SHIFT, a >> PAGE_SHIFT, "same page, same frame");
         assert_eq!(pt.mapped_pages(), 1);
+        pt.translate(0x5000);
+        assert_eq!(pt.translate(0x1234), a, "stable after another page");
     }
 
     #[test]

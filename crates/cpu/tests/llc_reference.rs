@@ -1,13 +1,15 @@
 //! Seeded randomized test: the LLC agrees with a straightforward
 //! reference model of a set-associative LRU cache under arbitrary
-//! access/fill streams — same hit/miss outcomes, same dirty-victim
-//! writebacks.
+//! streams of every operation — same hit/miss outcomes, same dirty-victim
+//! writebacks, same hit and miss counters — at 1, 4, 8 (the paper's) and
+//! 16 ways.
 
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crow_cpu::cache::LlcResult;
 use crow_cpu::{AccessKind, Llc};
 
 /// Reference model: per-set MRU-ordered deque of (tag, dirty).
@@ -73,51 +75,106 @@ impl RefCache {
     }
 }
 
+/// The reference model plus the demand counters the LLC should keep.
+struct Model {
+    cache: RefCache,
+    hits: u64,
+    misses: u64,
+}
+
+impl Model {
+    /// A demand access, counted; returns (hit, writeback).
+    fn access(&mut self, pa: u64, write: bool) -> (bool, Option<u64>) {
+        let r = self.cache.access(pa, write);
+        if r.0 {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        r
+    }
+}
+
+fn result(hit: bool, writeback: Option<u64>) -> LlcResult {
+    if hit {
+        LlcResult::Hit
+    } else {
+        LlcResult::Miss { writeback }
+    }
+}
+
 #[test]
 fn llc_matches_reference_model() {
-    for case in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(0x11C ^ case.wrapping_mul(0x2545_f491));
-        // 64 sets x 4 ways over 64 B lines.
-        let mut llc = Llc::new(64 * 4 * 64, 4);
-        let mut reference = RefCache::new(64, 4);
-        let n_ops = rng.gen_range(1usize..500);
-        for _ in 0..n_ops {
-            let pa = rng.gen_range(0u64..2048) * 64;
-            match rng.gen_range(0u8..3) {
-                // Demand read: on miss, the fill arrives immediately.
-                0 => {
-                    let expected = reference.access(pa, false);
-                    let got = llc.access(pa, AccessKind::Read);
-                    match (expected.0, got) {
-                        (true, crow_cpu::cache::LlcResult::Hit) => {}
-                        (false, crow_cpu::cache::LlcResult::Miss { writeback }) => {
-                            assert_eq!(writeback, None, "read misses defer install");
-                            let wb_model = reference.install(pa, false);
-                            let wb_llc = llc.fill(pa);
-                            assert_eq!(wb_llc, wb_model);
-                        }
-                        (e, g) => panic!("hit mismatch: model {e} vs {g:?}"),
-                    }
-                }
-                // Store (write-validate).
-                1 => {
-                    let (hit_model, wb_model) = reference.access(pa, true);
-                    match llc.access(pa, AccessKind::Write) {
-                        crow_cpu::cache::LlcResult::Hit => assert!(hit_model),
-                        crow_cpu::cache::LlcResult::Miss { writeback } => {
-                            assert!(!hit_model);
-                            assert_eq!(writeback, wb_model);
-                        }
-                    }
-                }
-                // Prefetch fill.
-                _ => {
-                    let wb_model = reference.install(pa, false);
-                    let wb_llc = llc.fill(pa);
-                    assert_eq!(wb_llc, wb_model);
+    for ways in [1usize, 4, 8, 16] {
+        for case in 0..64u64 {
+            check_case(ways, case);
+        }
+    }
+}
+
+fn check_case(ways: usize, case: u64) {
+    let mut rng =
+        StdRng::seed_from_u64(0x11C ^ case.wrapping_mul(0x2545_f491) ^ ((ways as u64) << 40));
+    // 64 sets over 64 B lines; the address range is 32 lines per set.
+    let mut llc = Llc::new(64 * ways as u64 * 64, ways);
+    let mut model = Model {
+        cache: RefCache::new(64, ways),
+        hits: 0,
+        misses: 0,
+    };
+    let n_ops = rng.gen_range(1usize..500);
+    for _ in 0..n_ops {
+        let pa = rng.gen_range(0u64..2048) * 64;
+        let write = rng.gen_bool(0.5);
+        let kind = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        match rng.gen_range(0u8..5) {
+            // Demand read: on miss, the fill arrives immediately.
+            0 => {
+                let (hit, _) = model.access(pa, false);
+                let got = llc.access(pa, AccessKind::Read);
+                assert_eq!(got, result(hit, None), "read misses defer install");
+                if !hit {
+                    assert_eq!(llc.fill(pa), model.cache.install(pa, false));
                 }
             }
-            assert_eq!(llc.probe(pa), reference.probe(pa));
+            // Store (write-validate).
+            1 => {
+                let (hit, wb) = model.access(pa, true);
+                assert_eq!(llc.access(pa, AccessKind::Write), result(hit, wb));
+            }
+            // Prefetch fill: installs, counts nothing.
+            2 => assert_eq!(llc.fill(pa), model.cache.install(pa, false)),
+            // Functional warmup: the access plus, on a read miss, the
+            // install, with the install's dirty victim.
+            3 => {
+                let (hit, mut wb) = model.access(pa, write);
+                if !hit && !write {
+                    wb = model.cache.install(pa, false);
+                }
+                assert_eq!(llc.warm_access(pa, kind), result(hit, wb));
+            }
+            // A load's hit-only lookup: a miss changes nothing.
+            _ => {
+                let before = llc.clone();
+                let hit = model.cache.probe(pa);
+                if hit {
+                    model.access(pa, false);
+                }
+                assert_eq!(llc.read_hit(pa), hit);
+                if !hit {
+                    assert_eq!(llc, before, "a missing read_hit changed the cache");
+                }
+            }
         }
+        assert_eq!(llc.probe(pa), model.cache.probe(pa));
+        assert_eq!(
+            (llc.hits(), llc.misses()),
+            (model.hits, model.misses),
+            "{ways} ways, case {case}"
+        );
     }
 }

@@ -959,10 +959,16 @@ mod tests {
             subarrays: 7,
             open_page: false,
         });
+        let mut bad_llc = base.clone();
+        bad_llc.cpu.llc_bytes = 3 << 20;
         for (cfg, want) in [
             (bad_dram, "invalid DramConfig"),
             (bad_salp, "invalid DramConfig"),
             (bad_mc, "invalid McConfig"),
+            (
+                bad_llc,
+                "invalid CpuConfig: LLC set count must be a power of two",
+            ),
             (zero_vrt, "vrt_interval_cycles must be positive"),
             (zero_drop, "fault_plan.drop_interval must be positive"),
         ] {
