@@ -2,9 +2,13 @@
 //!
 //! Both engines share the core model, and the fixture journals are only
 //! ever restored, so the equivalence tests cannot notice a change that
-//! moves every engine's results together. This test can: it re-runs four
+//! moves every engine's results together. This test can: it re-runs eight
 //! fixed configurations and compares each report's journal encoding with
-//! `fixtures/pinned/reports.jsonl`, one report per line. The wall-clock
+//! `fixtures/pinned/reports.jsonl`, one report per line. The last four
+//! reach controller paths the first four do not: per-bank refresh with
+//! several open rows to drain (SALP-8, open page) and with the TRR
+//! flush, CROW-ref's longer refresh interval, and the sampling
+//! fast-forward's replay into the data-integrity oracle. The wall-clock
 //! fields and the scheduler work counters are left out, by the same rule
 //! as `engine_equivalence.rs`'s `normalize`.
 //!
@@ -64,12 +68,21 @@ struct Pinned {
 
 /// Runs one configuration and encodes its pinned fields.
 fn pinned(label: &'static str, cfg: SystemConfig, apps: &[&AppProfile]) -> Pinned {
+    let oracle = cfg.oracle;
     let mut sys = System::new(cfg, apps);
     sys.warm(WARMUP);
     // Far beyond every run here: a core model that never reaches its
     // target fails instead of hanging.
     let r = sys.run(50_000_000);
     assert!(r.finished);
+    if oracle {
+        let reads = |mc: &crow_mem::MemController| mc.channel().oracle().map_or(0, |o| o.reads());
+        assert!(
+            sys.controllers().iter().all(|mc| reads(mc) > 0),
+            "{label}: oracle saw no reads"
+        );
+        sys.assert_data_integrity();
+    }
     if let Some(s) = &r.samples {
         assert!(s.windows >= 2, "a sampled run must span two windows");
     }
@@ -89,7 +102,7 @@ fn pinned(label: &'static str, cfg: SystemConfig, apps: &[&AppProfile]) -> Pinne
     }
 }
 
-/// The four pinned runs, shared by both tests.
+/// The pinned runs, shared by both tests.
 fn runs() -> &'static [Pinned] {
     static RUNS: OnceLock<Vec<Pinned>> = OnceLock::new();
     RUNS.get_or_init(run_all)
@@ -97,9 +110,23 @@ fn runs() -> &'static [Pinned] {
 
 fn run_all() -> Vec<Pinned> {
     let llmm = mixes_for_group(MixGroup::Llmm, 1, 1)[0];
-    let mut sampled = config(Mechanism::crow_cache(8));
-    sampled.sample = Some(SamplePlan::default_profile());
-    sampled.cpu.target_insts = 2 * SamplePlan::default_profile().interval_insts();
+    let sampled = || {
+        let mut cfg = config(Mechanism::crow_cache(8));
+        cfg.sample = Some(SamplePlan::default_profile());
+        cfg.cpu.target_insts = 2 * SamplePlan::default_profile().interval_insts();
+        cfg
+    };
+    let per_bank = |mechanism| {
+        let mut cfg = config(mechanism);
+        cfg.mc.per_bank_refresh = true;
+        cfg
+    };
+    let mut sampled_oracle = sampled();
+    sampled_oracle.oracle = true;
+    let salp_open = Mechanism::Salp {
+        subarrays: 8,
+        open_page: true,
+    };
     vec![
         pinned("mcf/Baseline", config(Mechanism::Baseline), &[app("mcf")]),
         pinned(
@@ -108,7 +135,28 @@ fn run_all() -> Vec<Pinned> {
             &[app("omnetpp")],
         ),
         pinned("LLMM mix/CROW-8", config(Mechanism::crow_cache(8)), &llmm),
-        pinned("sampled libq/CROW-8", sampled, &[app("libq")]),
+        pinned("sampled libq/CROW-8", sampled(), &[app("libq")]),
+        pinned(
+            "mcf/SALP-8-O/per-bank refresh",
+            per_bank(salp_open),
+            &[app("mcf")],
+        ),
+        // A threshold low enough that the per-bank flushes queue
+        // neighbour refreshes.
+        pinned(
+            "mcf/TRR-4/per-bank refresh",
+            per_bank(Mechanism::Trr {
+                entries: 16,
+                threshold: 4,
+            }),
+            &[app("mcf")],
+        ),
+        pinned(
+            "mcf/CROW-8+ref",
+            config(Mechanism::crow_combined()),
+            &[app("mcf")],
+        ),
+        pinned("sampled mcf/CROW-8/oracle", sampled_oracle, &[app("mcf")]),
     ]
 }
 
