@@ -114,17 +114,27 @@ fn removed_spellings_exit_2_naming_the_replacement() {
 fn bad_configurations_are_rejected_without_a_panic() {
     for (args, want) in [
         (
-            ["--faults", "drop=0"],
+            &["--faults", "drop=0"][..],
             "invalid SystemConfig: fault_plan.drop_interval must be positive",
         ),
         (
-            ["--faults", "vrt=0"],
+            &["--faults", "vrt=0"],
             "invalid SystemConfig: vrt_interval_cycles must be positive",
         ),
-        (["--mechanism", "salp-7"], "invalid DramConfig"),
-        (["--llc-mib", "3"], "invalid CpuConfig"),
+        (&["--mechanism", "salp-7"], "invalid DramConfig"),
+        (&["--llc-mib", "3"], "invalid CpuConfig"),
+        (&["--channels", "3"], "channels = 3: must be a power of two"),
+        (&["--channels", "0"], "channels = 0: must be a power of two"),
+        (
+            &["--mechanism", "ideal", "--oracle"],
+            "oracle cannot check Ideal CROW-cache",
+        ),
+        (
+            &["--mechanism", "tldram-8", "--oracle"],
+            "oracle cannot check TL-DRAM-8",
+        ),
     ] {
-        let out = simulate(&args);
+        let out = simulate(args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert!(err.contains(want), "{args:?}: {err}");
@@ -135,6 +145,10 @@ fn bad_configurations_are_rejected_without_a_panic() {
             "--hammer-intensity needs --hammer",
         ),
         (&["--timeout", "inf"], "usage: simulate"),
+        (
+            &["--density", "7"],
+            "\"density\" must be 8, 16, 32, or 64 (Gbit)",
+        ),
     ] {
         let out = simulate(args);
         let err = stderr(&out);

@@ -2,7 +2,6 @@
 //! command against the full LPDDR4 constraint set, including the CROW
 //! multiple-row-activation flavours.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::bank::{Activation, BankState, OpenRow, RestoreState};
@@ -72,18 +71,6 @@ pub struct ClosedRow {
     pub restore_drive: u64,
 }
 
-/// Memoized answer of [`DramChannel::ready_at`] for one command, valid
-/// only while no intervening `issue` has mutated timing state (tracked
-/// by the channel's issue stamp). `ready_at` is a pure function of the
-/// channel state, so replaying a cached answer is exact, not an
-/// approximation — the memo only skips recomputation.
-#[derive(Debug, Clone, Copy)]
-struct ReadyMemo {
-    cmd: CmdDesc,
-    stamp: u64,
-    ready: Cycle,
-}
-
 /// Side effects of issuing a command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IssueFx {
@@ -114,13 +101,6 @@ pub struct DramChannel {
     /// Optional shadow protocol validator cross-checking every issued
     /// command against an independent state machine.
     validator: Option<Box<ShadowValidator>>,
-    /// Monotonic count of issued commands; bumping it invalidates every
-    /// [`ReadyMemo`] at once.
-    issue_stamp: u64,
-    /// Per-(rank, bank) memo of the last `check` answer, so schedulers
-    /// that re-poll the same head-of-queue command every cycle skip the
-    /// full constraint walk until the next `issue`.
-    ready_cache: Vec<Cell<Option<ReadyMemo>>>,
 }
 
 impl DramChannel {
@@ -149,9 +129,6 @@ impl DramChannel {
         let ranks = (0..cfg.ranks)
             .map(|_| RankState::new(cfg.banks, cfg.subarrays_per_bank(), cfg.bank_groups))
             .collect();
-        let ready_cache = (0..cfg.ranks * cfg.banks)
-            .map(|_| Cell::new(None))
-            .collect();
         Ok(Self {
             cfg,
             ranks,
@@ -159,8 +136,6 @@ impl DramChannel {
             stats: ChannelStats::new(),
             oracle: None,
             validator: None,
-            issue_stamp: 0,
-            ready_cache,
         })
     }
 
@@ -202,55 +177,62 @@ impl DramChannel {
     /// mutates CROW-table state directly, and a stale open pair
     /// surviving from the drained segment would write through rows
     /// whose table entries no longer exist. The oracle, shadow
-    /// validator, and timing memos are settled exactly as for issued
+    /// validator and timing state are settled exactly as for issued
     /// precharges; returns one record per closed row so the controller
     /// can settle its own bookkeeping.
     pub fn close_all_open(&mut self, now: Cycle) -> Vec<(u32, u32, ClosedRow)> {
-        let trp = u64::from(self.cfg.timings.trp);
-        let salp = self.cfg.subarray_parallelism;
         let mut closed = Vec::new();
-        for (r, rank) in self.ranks.iter_mut().enumerate() {
-            for (b, bank) in rank.banks.iter_mut().enumerate() {
-                if bank.open_count == 0 {
-                    continue;
-                }
-                for s in 0..bank.subarrays.len() {
-                    let Some(act) = bank.subarrays[s].open.take() else {
-                        continue;
-                    };
-                    let at = now.max(act.min_pre);
-                    let restore = act.restored_if_closed_at(at);
-                    let restore_drive = at.min(act.full_restore_at) - act.opened_at;
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.on_pre(r as u32, b as u32, act.open, restore);
+        for r in 0..self.cfg.ranks {
+            for b in 0..self.cfg.banks {
+                for s in 0..self.cfg.subarrays_per_bank() {
+                    if self.open_count(r, b) == 0 {
+                        break;
                     }
-                    let sub = &mut bank.subarrays[s];
-                    sub.next_act = sub.next_act.max(at + trp);
-                    bank.open_count -= 1;
-                    if !salp {
-                        bank.next_act = bank.next_act.max(at + trp);
+                    if let Some(act) = self.subarray_activation(r, b, s) {
+                        let at = now.max(act.min_pre);
+                        closed.push((r, b, self.close(r, b, s, at)));
                     }
-                    rank.ref_ready = rank.ref_ready.max(at + trp);
-                    closed.push((
-                        r as u32,
-                        b as u32,
-                        ClosedRow {
-                            subarray: s as u32,
-                            open: act.open,
-                            restore,
-                            restore_drive,
-                        },
-                    ));
                 }
             }
         }
         if !closed.is_empty() {
-            self.issue_stamp += 1;
             if let Some(v) = self.validator.as_mut() {
                 v.force_close_all(now);
             }
         }
         closed
+    }
+
+    /// Precharges subarray `sa` of (`rank`, `bank`) at `at`: the cells'
+    /// restore outcome goes to the oracle and back to the caller, and
+    /// the bank and rank wait `tRP` before their next `ACT` and `REF`.
+    /// An open subarray's `next_act` is never later than its activation,
+    /// so `at + tRP` replaces it.
+    fn close(&mut self, rank: u32, bank: u32, sa: u32, at: Cycle) -> ClosedRow {
+        let trp = u64::from(self.cfg.timings.trp);
+        let r = &mut self.ranks[rank as usize];
+        let b = &mut r.banks[bank as usize];
+        let sub = &mut b.subarrays[sa as usize];
+        let act = sub
+            .open
+            .take()
+            .expect("close of a subarray with no open row");
+        sub.next_act = at + trp;
+        b.open_count -= 1;
+        if !self.cfg.subarray_parallelism {
+            b.next_act = b.next_act.max(at + trp);
+        }
+        r.ref_ready = r.ref_ready.max(at + trp);
+        let restore = act.restored_if_closed_at(at);
+        if let Some(o) = self.oracle.as_mut() {
+            o.on_pre(rank, bank, act.open, restore);
+        }
+        ClosedRow {
+            subarray: sa,
+            open: act.open,
+            restore,
+            restore_drive: at.min(act.full_restore_at) - act.opened_at,
+        }
     }
 
     /// Attaches a shadow protocol validator; every subsequent command is
@@ -395,19 +377,7 @@ impl DramChannel {
     /// [`IssueError::TooEarly`] with the earliest legal cycle, or the
     /// structural errors of [`DramChannel::ready_at`].
     pub fn check(&self, d: &CmdDesc, now: Cycle) -> Result<(), IssueError> {
-        let slot = (d.rank * self.cfg.banks + d.bank.min(self.cfg.banks - 1)) as usize;
-        let ready = match self.ready_cache[slot].get() {
-            Some(m) if m.stamp == self.issue_stamp && m.cmd == *d => m.ready,
-            _ => {
-                let ready = self.ready_at(d)?;
-                self.ready_cache[slot].set(Some(ReadyMemo {
-                    cmd: *d,
-                    stamp: self.issue_stamp,
-                    ready,
-                }));
-                ready
-            }
-        };
+        let ready = self.ready_at(d)?;
         if ready > now {
             Err(IssueError::TooEarly { ready_at: ready })
         } else {
@@ -431,7 +401,6 @@ impl DramChannel {
             d,
             self.check(d, now)
         );
-        self.issue_stamp += 1;
         self.stats.record(d.cmd);
         let extra = if matches!(d.cmd, Command::ActC | Command::ActT) {
             u64::from(self.cfg.mra_extra_cmd_cycles)
@@ -441,7 +410,6 @@ impl DramChannel {
         self.cmd_bus_free = now + 1 + extra;
         let t = self.cfg.timings;
         let mra = self.cfg.mra;
-        let salp = self.cfg.subarray_parallelism;
         let mut fx = IssueFx::default();
         match d.cmd {
             Command::Act | Command::ActC | Command::ActT => {
@@ -555,28 +523,8 @@ impl DramChannel {
                 rank.next_rd = rank.next_rd.max(data_end + u64::from(t.twtr));
             }
             Command::Pre => {
-                let (sa, act_ro) = self.resolve_open(d).expect("PRE without open row");
-                let restore = act_ro.restored_if_closed_at(now);
-                let open = act_ro.open;
-                let restore_drive = now.min(act_ro.full_restore_at) - act_ro.opened_at;
-                if let Some(o) = self.oracle.as_mut() {
-                    o.on_pre(d.rank, d.bank, open, restore);
-                }
-                let rank = &mut self.ranks[d.rank as usize];
-                let bank = &mut rank.banks[d.bank as usize];
-                bank.subarrays[sa as usize].open = None;
-                bank.subarrays[sa as usize].next_act = now + u64::from(t.trp);
-                bank.open_count -= 1;
-                if !salp {
-                    bank.next_act = bank.next_act.max(now + u64::from(t.trp));
-                }
-                rank.ref_ready = rank.ref_ready.max(now + u64::from(t.trp));
-                fx.closed = Some(ClosedRow {
-                    subarray: sa,
-                    open,
-                    restore,
-                    restore_drive,
-                });
+                let (sa, _) = self.resolve_open(d).expect("PRE without open row");
+                fx.closed = Some(self.close(d.rank, d.bank, sa, now));
             }
             Command::Ref => {
                 let rank = &mut self.ranks[d.rank as usize];

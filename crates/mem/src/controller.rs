@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use crow_core::{ActDecision, CrowSubstrate};
-use crow_dram::channel::IssueFx;
+use crow_dram::channel::{ClosedRow, IssueFx};
 use crow_dram::{
     ActKind, ActTimingMod, CmdDesc, Command, Cycle, DramChannel, DramConfig, OpenRow, RestoreState,
     RowAddr,
@@ -138,7 +138,8 @@ pub struct MemController {
     scratch_order: Vec<(u8, Cycle, usize)>,
     /// Scheduler work counters (see [`SchedStats`]).
     sched: SchedStats,
-    /// Per-(rank,bank) read-queue index ([`SchedImpl::Indexed`] only).
+    /// Per-(rank,bank) read-queue index, kept under both scheduler
+    /// implementations; only [`SchedImpl::Indexed`] selects from it.
     rd_index: QueueIndex,
     /// Write-queue counterpart of `rd_index`.
     wr_index: QueueIndex,
@@ -155,9 +156,6 @@ pub struct MemController {
     /// Written by a tick that issued nothing: while the stamped epoch
     /// matches, no tick strictly before the stored cycle can issue.
     wake_hint: Option<(u64, Cycle)>,
-    /// Maintained count of set `refresh_pending` flags (replaces the
-    /// per-tick `iter().any()` scan).
-    refresh_pending_count: u32,
     /// Reusable merge-cursor buffer for indexed selection.
     scratch_cursors: Vec<Cursor>,
     /// Reusable per-bank readiness-bound accumulator.
@@ -245,7 +243,6 @@ impl MemController {
             sched_epoch: 1,
             bank_ready: [vec![(0, 0); slots], vec![(0, 0); slots]],
             wake_hint: None,
-            refresh_pending_count: 0,
             scratch_cursors: Vec::new(),
             scratch_bounds: Vec::new(),
             stream_pool: Vec::new(),
@@ -327,6 +324,22 @@ impl MemController {
         }
     }
 
+    fn queue(&self, kind: ReqKind) -> &[MemRequest] {
+        match kind {
+            ReqKind::Read => &self.read_q,
+            ReqKind::Write => &self.write_q,
+        }
+    }
+
+    /// A request queue with its bank index, which every push and
+    /// removal keeps in step.
+    fn queue_mut(&mut self, kind: ReqKind) -> (&mut Vec<MemRequest>, &mut QueueIndex) {
+        match kind {
+            ReqKind::Read => (&mut self.read_q, &mut self.rd_index),
+            ReqKind::Write => (&mut self.write_q, &mut self.wr_index),
+        }
+    }
+
     fn index(&self, kind: ReqKind) -> &QueueIndex {
         match kind {
             ReqKind::Read => &self.rd_index,
@@ -349,7 +362,7 @@ impl MemController {
             || !self.forced_restore.is_empty()
             || !self.neighbor_ops.is_empty()
             || self.drop_pending
-            || self.refresh_pending_count > 0
+            || self.refresh_pending.contains(&true)
     }
 
     /// Attaches the data-integrity oracle to the underlying channel.
@@ -444,23 +457,9 @@ impl MemController {
         }
         req.arrival = self.bg_cycles;
         let slot = self.slot_of(req.rank, req.bank);
-        let use_index = self.use_index();
-        match req.kind {
-            ReqKind::Read => {
-                self.read_q.push(req);
-                if use_index {
-                    self.rd_index
-                        .on_push(slot, req.arrival, (self.read_q.len() - 1) as u32);
-                }
-            }
-            ReqKind::Write => {
-                self.write_q.push(req);
-                if use_index {
-                    self.wr_index
-                        .on_push(slot, req.arrival, (self.write_q.len() - 1) as u32);
-                }
-            }
-        }
+        let (q, index) = self.queue_mut(req.kind);
+        q.push(req);
+        index.on_push(slot, req.arrival, (q.len() - 1) as u32);
         self.bump_epoch();
         Ok(())
     }
@@ -469,22 +468,16 @@ impl MemController {
     /// consistent: the removed entry leaves its bucket and the element
     /// moved into the vacated position is re-keyed.
     fn q_swap_remove(&mut self, kind: ReqKind, idx: usize) -> MemRequest {
-        let use_index = self.use_index();
         let banks = self.dram_cfg.banks;
-        let (q, index) = match kind {
-            ReqKind::Read => (&mut self.read_q, &mut self.rd_index),
-            ReqKind::Write => (&mut self.write_q, &mut self.wr_index),
-        };
+        let (q, index) = self.queue_mut(kind);
         let old_last = (q.len() - 1) as u32;
         let removed = q.swap_remove(idx);
-        if use_index {
-            let slot = (removed.rank * banks + removed.bank) as usize;
-            index.remove(slot, removed.arrival, idx as u32);
-            if idx < q.len() {
-                let moved = q[idx];
-                let mslot = (moved.rank * banks + moved.bank) as usize;
-                index.reposition(mslot, moved.arrival, old_last, idx as u32);
-            }
+        let slot = (removed.rank * banks + removed.bank) as usize;
+        index.remove(slot, removed.arrival, idx as u32);
+        if idx < q.len() {
+            let moved = q[idx];
+            let mslot = (moved.rank * banks + moved.bank) as usize;
+            index.reposition(mslot, moved.arrival, old_last, idx as u32);
         }
         removed
     }
@@ -517,7 +510,6 @@ impl MemController {
                     let debt = (now - self.next_ref[rank]) / trefi;
                     if !busy || debt >= u64::from(self.cfg.max_postponed_refreshes) {
                         self.refresh_pending[rank] = true;
-                        self.refresh_pending_count += 1;
                         self.bump_epoch();
                     }
                 }
@@ -635,61 +627,41 @@ impl MemController {
         // The data-integrity oracle (when attached) shadows row contents
         // from the observed command stream, and a functional advance
         // issues no commands — so the activations modeled here are
-        // buffered and replayed into the oracle below, carrying the
-        // ACT-c content adoption and pair-restore outcomes the detailed
-        // stream would have.
-        let mut mirror: Option<Vec<(ActKind, RestoreState)>> =
-            self.channel.oracle().is_some().then(Vec::new);
+        // replayed into the oracle below, carrying the ACT-c content
+        // adoption and pair-restore outcomes the detailed stream would
+        // have. Single-row activations always restore fully; only pair
+        // restores can be truncated.
         let pre = if restored {
             RestoreState::Full
         } else {
             RestoreState::Partial
         };
-        match crow.decide(cb, sa, row) {
-            ActDecision::Normal => {
-                crow.on_precharge(cb, sa, row, restored);
-                if let Some(m) = mirror.as_mut() {
-                    m.push((ActKind::Single(RowAddr::Regular(row)), RestoreState::Full));
-                }
-            }
-            ActDecision::RemappedSingle { copy } => {
-                crow.on_precharge(cb, sa, row, restored);
-                if let Some(m) = mirror.as_mut() {
-                    // Single-row activations always restore fully; only
-                    // ACT-t pair restores can be truncated.
-                    m.push((
-                        ActKind::Single(RowAddr::Copy {
-                            subarray: sa,
-                            idx: copy,
-                        }),
-                        RestoreState::Full,
-                    ));
-                }
-            }
+        let mut install = None;
+        let act = match crow.decide(cb, sa, row) {
+            ActDecision::Normal => (ActKind::single(row), RestoreState::Full),
+            ActDecision::RemappedSingle { copy } => (
+                ActKind::Single(RowAddr::Copy {
+                    subarray: sa,
+                    idx: copy,
+                }),
+                RestoreState::Full,
+            ),
             // A re-activation of a resident pair re-drives the restore;
             // the same truncation model decides whether it completes.
             ActDecision::Twin {
                 copy,
                 fully_restored,
-            } => {
-                crow.on_precharge(cb, sa, row, restored);
-                if let Some(m) = mirror.as_mut() {
-                    m.push((
-                        ActKind::Twin {
-                            row,
-                            copy,
-                            fully_restored,
-                        },
-                        pre,
-                    ));
-                }
-            }
+            } => (
+                ActKind::Twin {
+                    row,
+                    copy,
+                    fully_restored,
+                },
+                pre,
+            ),
             ActDecision::CopyInstall { copy } => {
                 crow.commit_install(cb, sa, row, copy);
-                crow.on_precharge(cb, sa, row, restored);
-                if let Some(m) = mirror.as_mut() {
-                    m.push((ActKind::Copy { src: row, copy }, pre));
-                }
+                (ActKind::Copy { src: row, copy }, pre)
             }
             ActDecision::RestoreFirst {
                 copy, victim_row, ..
@@ -697,29 +669,21 @@ impl MemController {
                 // Detailed simulation would restore the victim with a
                 // forced activation, then install over it on retry.
                 crow.on_precharge(cb, victim_row / rows_per_subarray, victim_row, true);
-                if let Some(m) = mirror.as_mut() {
-                    m.push((
-                        ActKind::Twin {
-                            row: victim_row,
-                            copy,
-                            fully_restored: false,
-                        },
-                        RestoreState::Full,
-                    ));
-                }
                 if let ActDecision::CopyInstall { copy } = crow.decide(cb, sa, row) {
                     crow.commit_install(cb, sa, row, copy);
-                    if let Some(m) = mirror.as_mut() {
-                        m.push((ActKind::Copy { src: row, copy }, pre));
-                    }
+                    install = Some((ActKind::Copy { src: row, copy }, pre));
                 }
-                crow.on_precharge(cb, sa, row, restored);
+                let victim = ActKind::Twin {
+                    row: victim_row,
+                    copy,
+                    fully_restored: false,
+                };
+                (victim, RestoreState::Full)
             }
-        }
-        if let Some(events) = mirror {
-            for (kind, restore) in events {
-                self.channel.warm_act(rank, bank, kind, restore);
-            }
+        };
+        crow.on_precharge(cb, sa, row, restored);
+        for (kind, restore) in std::iter::once(act).chain(install) {
+            self.channel.warm_act(rank, bank, kind, restore);
         }
     }
 
@@ -740,20 +704,32 @@ impl MemController {
         for (rank, bank, c) in closed {
             self.energy_events
                 .on_command(&self.energy_model, Command::Pre);
-            let mra = matches!(c.open, OpenRow::Pair { .. });
-            self.energy_events
-                .on_act_pair(&self.energy_model, c.restore_drive, mra);
-            let key = (rank, bank, c.subarray);
-            Self::drop_tracking_entry(&mut self.open_list, key);
-            Self::drop_tracking_entry(&mut self.forced_restore, key);
-            let i = self.sa_slot(rank, bank, c.subarray);
-            self.opener[i] = None;
-            if let (Some(crow), OpenRow::Pair { row, .. }) = (self.crow.as_mut(), c.open) {
-                let cb = rank * self.dram_cfg.banks + bank;
-                crow.on_precharge(cb, c.subarray, row, c.restore == RestoreState::Full);
-            }
+            self.settle_close(rank, bank, c);
         }
         self.bump_epoch();
+    }
+
+    /// Settles the controller's side of a row close, scheduled or
+    /// functional: the restoration-drive energy (activation energy is
+    /// charged here, when the drive's length is known: early
+    /// termination transfers less charge), the tracking lists, and the
+    /// restore outcome into the CROW table (partial restoration, paper
+    /// §4.1.3). The caller charges the `PRE` itself first: energy is a
+    /// sum of floats, so the order of the additions is part of the
+    /// report.
+    fn settle_close(&mut self, rank: u32, bank: u32, c: ClosedRow) {
+        let mra = matches!(c.open, OpenRow::Pair { .. });
+        self.energy_events
+            .on_act_pair(&self.energy_model, c.restore_drive, mra);
+        let key = (rank, bank, c.subarray);
+        Self::drop_tracking_entry(&mut self.open_list, key);
+        Self::drop_tracking_entry(&mut self.forced_restore, key);
+        let i = self.sa_slot(rank, bank, c.subarray);
+        self.opener[i] = None;
+        if let (Some(crow), OpenRow::Pair { row, .. }) = (self.crow.as_mut(), c.open) {
+            let cb = rank * self.dram_cfg.banks + bank;
+            crow.on_precharge(cb, c.subarray, row, c.restore == RestoreState::Full);
+        }
     }
 
     /// The effective refresh interval (honours CROW-ref's extension).
@@ -827,107 +803,83 @@ impl MemController {
         }
     }
 
-    /// Refresh flow: drain open rows of a pending rank, then issue `REF`
-    /// (or drain only the target bank and issue `REFpb` in per-bank mode).
+    /// Refresh flow: drain the open rows of the first pending rank's
+    /// target, then refresh it. The target is the whole rank for `REF`,
+    /// or the rank's `refresh_bank` for `REFpb` in per-bank mode.
     fn try_refresh(&mut self, now: Cycle, wake: &mut Wake) -> bool {
-        for rank in 0..self.dram_cfg.ranks {
-            if !self.refresh_pending[rank as usize] {
-                continue;
+        let Some(rank) = (0..self.dram_cfg.ranks).find(|&r| self.refresh_pending[r as usize])
+        else {
+            return false;
+        };
+        let banks = self.dram_cfg.banks;
+        let target = self
+            .cfg
+            .per_bank_refresh
+            .then_some(self.refresh_bank[rank as usize]);
+        let (d, closed) = match target {
+            Some(bank) => (
+                CmdDesc::refresh_bank(rank, bank),
+                self.channel.open_count(rank, bank) == 0,
+            ),
+            None => (CmdDesc::refresh(rank), self.channel.all_banks_closed(rank)),
+        };
+        if closed {
+            if let Err(e) = self.channel.check(&d, now) {
+                wake.note_err(&e);
+                return false;
             }
-            if self.cfg.per_bank_refresh {
-                let bank = self.refresh_bank[rank as usize] % self.dram_cfg.banks;
-                if self.channel.open_count(rank, bank) == 0 {
-                    let d = CmdDesc::refresh_bank(rank, bank);
-                    match self.channel.check(&d, now) {
-                        Ok(()) => {
-                            self.issue(&d, now, None);
-                            self.stats.refreshes += 1;
-                            self.refresh_pending[rank as usize] = false;
-                            self.refresh_pending_count -= 1;
-                            self.refresh_bank[rank as usize] = (bank + 1) % self.dram_cfg.banks;
-                            self.next_ref[rank as usize] += self.trefi_eff();
-                            if bank == self.dram_cfg.banks - 1 {
-                                if let Some(crow) = self.crow.as_mut() {
-                                    crow.on_refresh();
-                                }
-                            }
-                            self.trr_flush(rank, Some(bank));
-                            return true;
-                        }
-                        Err(e) => {
-                            wake.note_err(&e);
-                            return false;
-                        }
-                    }
-                }
-                // Precharge only the target bank's open rows.
-                let mut candidates = std::mem::take(&mut self.scratch_open);
-                candidates.clear();
-                candidates.extend(
-                    self.open_list
-                        .iter()
-                        .copied()
-                        .filter(|&(r, b, _)| r == rank && b == bank),
-                );
-                let mut issued = false;
-                for &(r, b, sa) in &candidates {
-                    let full = self.forced_restore.contains(&(r, b, sa));
-                    if self.try_pre_subarray(now, r, b, sa, full, wake) {
-                        issued = true;
-                        break;
-                    }
-                }
-                self.scratch_open = candidates;
-                return issued;
+            self.issue(&d, now);
+            self.stats.refreshes += 1;
+            self.refresh_pending[rank as usize] = false;
+            self.next_ref[rank as usize] += self.trefi_eff();
+            if let Some(bank) = target {
+                self.refresh_bank[rank as usize] = (bank + 1) % banks;
             }
-            if self.channel.all_banks_closed(rank) {
-                let d = CmdDesc::refresh(rank);
-                match self.channel.check(&d, now) {
-                    Ok(()) => {
-                        self.issue(&d, now, None);
-                        self.stats.refreshes += 1;
-                        self.refresh_pending[rank as usize] = false;
-                        self.refresh_pending_count -= 1;
-                        self.next_ref[rank as usize] += self.trefi_eff();
-                        if let Some(crow) = self.crow.as_mut() {
-                            // Refresh resets RowHammer disturbance.
-                            crow.on_refresh();
-                        }
-                        self.trr_flush(rank, None);
-                        return true;
-                    }
-                    Err(e) => {
-                        wake.note_err(&e);
-                        return false;
-                    }
+            // Refresh resets RowHammer disturbance: every REF, and the
+            // REFpb that completes a round of the banks.
+            if target.is_none_or(|bank| bank == banks - 1) {
+                if let Some(crow) = self.crow.as_mut() {
+                    crow.on_refresh();
                 }
             }
-            // Precharge open rows of this rank (oldest-opened first).
-            let mut candidates = std::mem::take(&mut self.scratch_open);
-            candidates.clear();
-            candidates.extend(
-                self.open_list
-                    .iter()
-                    .copied()
-                    .filter(|&(r, _, _)| r == rank),
-            );
+            self.trr_flush(rank, target);
+            return true;
+        }
+        // Drain: REFpb precharges its bank's rows in `open_list` order,
+        // REF the rank's rows oldest-opened first.
+        let mut candidates = std::mem::take(&mut self.scratch_open);
+        candidates.clear();
+        candidates.extend(
+            self.open_list
+                .iter()
+                .copied()
+                .filter(|&(r, b, _)| r == rank && target.is_none_or(|t| b == t)),
+        );
+        if target.is_none() {
             candidates.sort_by_key(|&(r, b, s)| {
                 self.channel
                     .subarray_activation(r, b, s)
                     .map_or(u64::MAX, |a| a.opened_at)
             });
-            let mut issued = false;
-            for &(r, b, s) in &candidates {
-                let full = self.forced_restore.contains(&(r, b, s));
-                if self.try_pre_subarray(now, r, b, s, full, wake) {
-                    issued = true;
-                    break;
-                }
-            }
-            self.scratch_open = candidates;
-            return issued;
         }
-        false
+        let mut issued = false;
+        for &(r, b, s) in &candidates {
+            let full = self.forced_restore.contains(&(r, b, s));
+            if self.try_pre_subarray(now, r, b, s, full, wake) {
+                issued = true;
+                break;
+            }
+        }
+        self.scratch_open = candidates;
+        issued
+    }
+
+    /// Whether a pending refresh holds back requests to (`rank`, `bank`)
+    /// so the refresh cannot be starved: the whole rank for all-bank
+    /// refresh, only the target bank in per-bank mode.
+    fn refresh_holds(&self, rank: u32, bank: u32) -> bool {
+        self.refresh_pending[rank as usize]
+            && (!self.cfg.per_bank_refresh || bank == self.refresh_bank[rank as usize])
     }
 
     /// Precharges one subarray if legal; `full_restore` delays the `PRE`
@@ -955,7 +907,7 @@ impl MemController {
         };
         match self.channel.check(&d, now) {
             Ok(()) => {
-                self.issue(&d, now, None);
+                self.issue(&d, now);
                 true
             }
             Err(e) => {
@@ -1048,7 +1000,7 @@ impl MemController {
         );
         match self.channel.check(&d, now) {
             Ok(()) => {
-                self.issue(&d, now, None);
+                self.issue(&d, now);
                 if op.purpose == CopyPurpose::Hammer {
                     self.stats.hammer_copies += 1;
                 }
@@ -1141,9 +1093,9 @@ impl MemController {
         let Mitigation::Trr { threshold, .. } = self.cfg.mitigation else {
             return;
         };
-        let banks: Vec<u32> = match bank {
-            Some(b) => vec![b],
-            None => (0..self.dram_cfg.banks).collect(),
+        let banks = match bank {
+            Some(b) => b..b + 1,
+            None => 0..self.dram_cfg.banks,
         };
         for b in banks {
             let slot = self.slot_of(rank, b);
@@ -1178,7 +1130,7 @@ impl MemController {
         let d = CmdDesc::act(rank, bank, ActKind::single(row));
         match self.channel.check(&d, now) {
             Ok(()) => {
-                self.issue(&d, now, None);
+                self.issue(&d, now);
                 self.stats.neighbor_refreshes += 1;
                 let sa = self.subarray_of(row);
                 self.forced_restore.push((rank, bank, sa));
@@ -1226,11 +1178,7 @@ impl MemController {
         // Candidate order: (priority, arrival, index).
         let mut order = std::mem::take(&mut self.scratch_order);
         order.clear();
-        let q = match kind {
-            ReqKind::Read => &self.read_q,
-            ReqKind::Write => &self.write_q,
-        };
-        for (i, req) in q.iter().enumerate() {
+        for (i, req) in self.queue(kind).iter().enumerate() {
             let hit = self.serving_activation(req);
             let prio = match self.cfg.sched {
                 SchedKind::Fcfs => 1,
@@ -1278,9 +1226,7 @@ impl MemController {
             // Refresh hold-back: the linear scan rejects these candidates
             // without side effects, so skipping them wholesale is
             // equivalent (the pending flag flips only with an epoch bump).
-            if self.refresh_pending[rank as usize]
-                && (!self.cfg.per_bank_refresh || bank == self.refresh_bank[rank as usize] % banks)
-            {
+            if self.refresh_holds(rank, bank) {
                 continue;
             }
             // Readiness fast path: while the epoch is unchanged the
@@ -1390,10 +1336,7 @@ impl MemController {
         b.clear_split(&mut pool);
         for i in 0..b.cands.len() {
             let (arrival, pos) = b.cands[i];
-            let req = match kind {
-                ReqKind::Read => self.read_q[pos as usize],
-                ReqKind::Write => self.write_q[pos as usize],
-            };
+            let req = self.queue(kind)[pos as usize];
             if self.serving_activation(&req) {
                 b.hit_push(self.subarray_of(req.row), (arrival, pos), &mut pool);
             } else {
@@ -1417,22 +1360,9 @@ impl MemController {
         idx: usize,
         wake: &mut Wake,
     ) -> bool {
-        let req = match kind {
-            ReqKind::Read => self.read_q[idx],
-            ReqKind::Write => self.write_q[idx],
-        };
-        // While a refresh is draining this rank, hold back the affected
-        // requests so the refresh cannot be starved: the whole rank for
-        // all-bank refresh, only the target bank in per-bank mode.
-        if self.refresh_pending[req.rank as usize] {
-            let blocked = if self.cfg.per_bank_refresh {
-                req.bank == self.refresh_bank[req.rank as usize] % self.dram_cfg.banks
-            } else {
-                true
-            };
-            if blocked {
-                return false;
-            }
+        let req = self.queue(kind)[idx];
+        if self.refresh_holds(req.rank, req.bank) {
+            return false;
         }
         let sa = self.subarray_of(req.row);
         if self.serving_activation(&req) {
@@ -1548,7 +1478,7 @@ impl MemController {
             wake.note_err(&e);
             return false;
         }
-        self.issue(&d, now, None);
+        self.issue(&d, now);
         // Commit the decision (stats, LRU, installs) now that it issued.
         if let Some(crow) = self.crow.as_mut() {
             match crow.decide(cb, sa, req.row) {
@@ -1587,10 +1517,7 @@ impl MemController {
 
     /// Issues the column command for a request whose row is open.
     fn try_column(&mut self, now: Cycle, kind: ReqKind, idx: usize, wake: &mut Wake) -> bool {
-        let req = match kind {
-            ReqKind::Read => self.read_q[idx],
-            ReqKind::Write => self.write_q[idx],
-        };
+        let req = self.queue(kind)[idx];
         let sa = self.subarray_of(req.row);
         let d = match (kind, self.dram_cfg.subarray_parallelism) {
             (ReqKind::Read, false) => CmdDesc::rd(req.rank, req.bank, req.col),
@@ -1602,7 +1529,7 @@ impl MemController {
             wake.note_err(&e);
             return false;
         }
-        let fx = self.issue(&d, now, Some(req.row));
+        let fx = self.issue(&d, now);
         let i = self.sa_slot(req.rank, req.bank, sa);
         self.served[i] += 1;
         // Hit/miss accounting: the request that opened the row already
@@ -1715,7 +1642,7 @@ impl MemController {
 
     /// Issues a checked command, updating energy, stats, open-row
     /// tracking, and CROW restoration state.
-    fn issue(&mut self, d: &CmdDesc, now: Cycle, _touch_row: Option<u32>) -> IssueFx {
+    fn issue(&mut self, d: &CmdDesc, now: Cycle) -> IssueFx {
         let fx = self.channel.issue(d, now);
         self.bump_epoch();
         if let Some(log) = self.event_log.as_mut() {
@@ -1746,61 +1673,27 @@ impl MemController {
                 Command::Pre | Command::Rd | Command::Wr => {}
             }
         }
-        if self.use_index() {
-            // The bank's row state (and with it hit/miss classification)
-            // may have changed; refresh commands touch the whole rank.
-            match d.cmd {
-                Command::Ref | Command::RefPb => {
-                    let lo = self.slot_of(d.rank, 0);
-                    for slot in lo..lo + self.dram_cfg.banks as usize {
-                        self.rd_index.mark_stale(slot);
-                        self.wr_index.mark_stale(slot);
-                    }
-                }
-                _ => {
-                    let slot = self.slot_of(d.rank, d.bank);
-                    self.rd_index.mark_stale(slot);
-                    self.wr_index.mark_stale(slot);
-                }
-            }
+        // The bank's row state (and with it hit/miss classification)
+        // may have changed; refresh commands touch the whole rank.
+        let slots = match d.cmd {
+            Command::Ref | Command::RefPb => self.slot_of(d.rank, 0)..self.slot_of(d.rank + 1, 0),
+            _ => self.slot_of(d.rank, d.bank)..self.slot_of(d.rank, d.bank) + 1,
+        };
+        for slot in slots {
+            self.rd_index.mark_stale(slot);
+            self.wr_index.mark_stale(slot);
         }
-        // Activation energy is accounted at PRE time, when the actual
-        // restoration-drive duration is known (early termination
-        // transfers less charge).
-        if !d.cmd.is_activate() {
+        if d.cmd.is_activate() {
+            // Activation energy is charged when the row closes
+            // (`settle_close`).
+            let kind = d.act.expect("activation has kind");
+            let sa = kind.subarray(self.dram_cfg.rows_per_subarray);
+            self.open_list.push((d.rank, d.bank, sa));
+        } else {
             self.energy_events.on_command(&self.energy_model, d.cmd);
-        }
-        match d.cmd {
-            Command::Act | Command::ActC | Command::ActT => {
-                let kind = d.act.expect("activation has kind");
-                let sa = kind.subarray(self.dram_cfg.rows_per_subarray);
-                self.open_list.push((d.rank, d.bank, sa));
+            if let Some(closed) = fx.closed {
+                self.settle_close(d.rank, d.bank, closed);
             }
-            Command::Pre => {
-                if let Some(closed) = fx.closed {
-                    let mra = matches!(closed.open, OpenRow::Pair { .. });
-                    self.energy_events
-                        .on_act_pair(&self.energy_model, closed.restore_drive, mra);
-                    let key = (d.rank, d.bank, closed.subarray);
-                    Self::drop_tracking_entry(&mut self.open_list, key);
-                    Self::drop_tracking_entry(&mut self.forced_restore, key);
-                    let i = self.sa_slot(d.rank, d.bank, closed.subarray);
-                    self.opener[i] = None;
-                    let cb = d.rank * self.dram_cfg.banks + d.bank;
-                    if let (Some(crow), OpenRow::Pair { row, .. }) =
-                        (self.crow.as_mut(), closed.open)
-                    {
-                        crow.on_precharge(
-                            cb,
-                            closed.subarray,
-                            row,
-                            closed.restore == RestoreState::Full,
-                        );
-                    }
-                }
-            }
-            Command::Ref | Command::RefPb => {}
-            Command::Rd | Command::Wr => {}
         }
         fx
     }

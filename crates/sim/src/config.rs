@@ -128,6 +128,16 @@ impl Mechanism {
         }
     }
 
+    /// Whether the mechanism models row contents, which the
+    /// data-integrity oracle checks. TL-DRAM is a timing-only model,
+    /// and the ideal caches pretend every row is duplicated.
+    pub fn models_row_contents(&self) -> bool {
+        !matches!(
+            self,
+            Mechanism::TlDram { .. } | Mechanism::IdealCache | Mechanism::IdealCacheNoRefresh
+        )
+    }
+
     /// Parses the mechanism spellings the CLI and the batch server
     /// accept: `baseline`, `crow-N`, `crow-ref`, `crow-combined`,
     /// `crow-hammer`, `ideal`, `ideal-no-refresh`, `no-refresh`,

@@ -283,6 +283,7 @@ impl SimJob {
         let base = if self.ddr4 {
             SystemConfig::ddr4(mech)
         } else {
+            check_density(self.density)?;
             SystemConfig::paper_default(mech).with_density(self.density)
         };
         let mut cfg = base.with_llc_bytes(self.llc_mib << 20);
@@ -360,6 +361,16 @@ pub enum Request {
 fn bad_req(reason: impl Into<String>) -> CrowError {
     CrowError::Request {
         reason: reason.into(),
+    }
+}
+
+/// The LPDDR4 chip densities the platform models (paper Fig. 13), the
+/// check [`crow_dram::DramConfig::with_density`] asserts.
+fn check_density(density: u32) -> Result<(), CrowError> {
+    if density.is_power_of_two() && (8..=64).contains(&density) {
+        Ok(())
+    } else {
+        Err(bad_req("\"density\" must be 8, 16, 32, or 64 (Gbit)"))
     }
 }
 
@@ -524,9 +535,7 @@ fn parse_sim(doc: &Json, pairs: &[(String, Json)]) -> Result<SimJob, CrowError> 
         return Err(bad_req("\"insts\" must be positive"));
     }
     let density = u32::try_from(uint("density", 8, 64)?).expect("bounded above by 64");
-    if !(density.is_power_of_two() && (8..=64).contains(&density)) {
-        return Err(bad_req("\"density\" must be 8, 16, 32, or 64 (Gbit)"));
-    }
+    check_density(density)?;
     let channels = u32::try_from(uint("channels", 4, u64::from(MAX_JOB_CHANNELS))?)
         .expect("bounded above by MAX_JOB_CHANNELS");
     if channels == 0 {

@@ -138,45 +138,7 @@ impl System {
                 "at least one core required",
             )));
         }
-        if cfg.threads != 1 {
-            return Err(CrowError::Config(ConfigError::new(
-                "SystemConfig",
-                format!(
-                    "threads = {}: the sharded engine was removed, so threads must be 1",
-                    cfg.threads
-                ),
-            )));
-        }
-        // The sampling fast-forward polls no injector, so a sampled run
-        // would silently drop most of their injections.
-        let sampled_injector = [
-            (cfg.hammer.is_some(), "hammer"),
-            (cfg.fault_plan.is_some(), "fault_plan"),
-            (cfg.vrt_interval_cycles.is_some(), "vrt_interval_cycles"),
-        ]
-        .into_iter()
-        .find_map(|(set, name)| (set && cfg.sample.is_some()).then_some(name));
-        if let Some(name) = sampled_injector {
-            return Err(CrowError::Config(ConfigError::new(
-                "SystemConfig",
-                format!(
-                    "sample cannot be combined with {name}: the fast-forward skips its injections"
-                ),
-            )));
-        }
-        let [vrt, drop] = periodic_intervals(&cfg);
-        let zero_interval = [
-            (vrt, "vrt_interval_cycles"),
-            (drop, "fault_plan.drop_interval"),
-        ]
-        .into_iter()
-        .find_map(|(interval, name)| (interval == Some(0)).then_some(name));
-        if let Some(name) = zero_interval {
-            return Err(CrowError::Config(ConfigError::new(
-                "SystemConfig",
-                format!("{name} must be positive"),
-            )));
-        }
+        check_config(&cfg).map_err(|reason| ConfigError::new("SystemConfig", reason))?;
         let dram = cfg.effective_dram();
         dram.validate()
             .map_err(|reason| ConfigError::new("DramConfig", reason))?;
@@ -222,7 +184,7 @@ impl System {
                         far: tl.far_mod(),
                     });
                 }
-                if cfg.oracle && !matches!(cfg.mechanism, Mechanism::TlDram { .. }) {
+                if cfg.oracle {
                     mc.attach_oracle();
                 }
                 if cfg.validate_protocol {
@@ -700,6 +662,55 @@ fn charge(mc: &mut MemController, charged: &mut u64, to: u64) {
     *charged = to;
 }
 
+/// The checks on a whole [`SystemConfig`] that no part's own
+/// `validate` makes.
+fn check_config(cfg: &SystemConfig) -> Result<(), String> {
+    if cfg.threads != 1 {
+        return Err(format!(
+            "threads = {}: the sharded engine was removed, so threads must be 1",
+            cfg.threads
+        ));
+    }
+    // The address mapper interleaves channels on address bits.
+    if !cfg.channels.is_power_of_two() {
+        return Err(format!(
+            "channels = {}: must be a power of two",
+            cfg.channels
+        ));
+    }
+    if cfg.oracle && !cfg.mechanism.models_row_contents() {
+        return Err(format!(
+            "oracle cannot check {}: it does not model row contents",
+            cfg.mechanism.label()
+        ));
+    }
+    // The sampling fast-forward polls no injector, so a sampled run
+    // would silently drop most of their injections.
+    let injectors = [
+        (cfg.hammer.is_some(), "hammer"),
+        (cfg.fault_plan.is_some(), "fault_plan"),
+        (cfg.vrt_interval_cycles.is_some(), "vrt_interval_cycles"),
+    ];
+    if let Some((_, name)) = injectors
+        .into_iter()
+        .find(|&(set, _)| set && cfg.sample.is_some())
+    {
+        return Err(format!(
+            "sample cannot be combined with {name}: the fast-forward skips its injections"
+        ));
+    }
+    let [vrt, drop] = periodic_intervals(cfg);
+    for (interval, name) in [
+        (vrt, "vrt_interval_cycles"),
+        (drop, "fault_plan.drop_interval"),
+    ] {
+        if interval == Some(0) {
+            return Err(format!("{name} must be positive"));
+        }
+    }
+    Ok(())
+}
+
 /// The periodic injectors' intervals in CPU cycles: VRT weak-row
 /// events, then command-bus drops.
 fn periodic_intervals(cfg: &SystemConfig) -> [Option<u64>; 2] {
@@ -961,6 +972,10 @@ mod tests {
         });
         let mut bad_llc = base.clone();
         bad_llc.cpu.llc_bytes = 3 << 20;
+        let three_channels = SystemConfig {
+            channels: 3,
+            ..base.clone()
+        };
         for (cfg, want) in [
             (bad_dram, "invalid DramConfig"),
             (bad_salp, "invalid DramConfig"),
@@ -971,6 +986,7 @@ mod tests {
             ),
             (zero_vrt, "vrt_interval_cycles must be positive"),
             (zero_drop, "fault_plan.drop_interval must be positive"),
+            (three_channels, "channels = 3: must be a power of two"),
         ] {
             let e = System::try_new(cfg, &[app("mcf")]).unwrap_err();
             assert!(e.to_string().contains(want), "{e}");

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== line count of crates/sim/src (tracked in ROADMAP.md) =="
+echo "== line counts of crates/sim, crates/mem and crates/dram (tracked in ROADMAP.md) =="
 ./scripts/loc.sh
 
 echo "== the benchmark's unit tests and smoke pass of all four workloads =="

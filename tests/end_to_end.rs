@@ -47,10 +47,7 @@ fn every_mechanism_runs_cleanly() {
         },
     ];
     for mech in mechanisms {
-        // The ideal-cache modes pretend every row is duplicated, which
-        // the literal-minded oracle rightly rejects; skip it there.
-        let oracle = !matches!(mech, Mechanism::IdealCache | Mechanism::IdealCacheNoRefresh);
-        let r = quick(mech, "omnetpp", oracle);
+        let r = quick(mech, "omnetpp", mech.models_row_contents());
         assert!(r.ipc[0] > 0.0, "{mech:?}");
         assert!(r.mc.reads > 0, "{mech:?}");
     }
