@@ -113,7 +113,8 @@ pub struct MemController {
     /// Subarrays holding a maintenance activation that must reach full
     /// restoration before `PRE` (restore-before-evict / hammer copies).
     forced_restore: Vec<(u32, u32, u32)>,
-    /// Open activations, for O(open) policy scans: (rank, bank, subarray).
+    /// Open activations in the order they were opened, for O(open)
+    /// policy scans: (rank, bank, subarray).
     open_list: Vec<(u32, u32, u32)>,
     /// Which request id opened each subarray (for hit/miss accounting),
     /// indexed by [`MemController::sa_slot`].
@@ -131,10 +132,8 @@ pub struct MemController {
     /// next scheduling opportunity is lost as if the command bus dropped
     /// the command.
     drop_pending: bool,
-    /// Reusable candidate buffer for refresh-drain scans, so the per-tick
-    /// hot path performs no heap allocation in steady state.
-    scratch_open: Vec<(u32, u32, u32)>,
-    /// Reusable FR-FCFS candidate-order buffer (same rationale).
+    /// Reusable FR-FCFS candidate-order buffer, so the per-tick hot path
+    /// performs no heap allocation in steady state.
     scratch_order: Vec<(u8, Cycle, usize)>,
     /// Scheduler work counters (see [`SchedStats`]).
     sched: SchedStats,
@@ -235,7 +234,6 @@ impl MemController {
             refresh_bank: vec![0; ranks],
             drain_writes: false,
             drop_pending: false,
-            scratch_open: Vec::new(),
             scratch_order: Vec::with_capacity(cfg.read_q.max(cfg.write_q)),
             sched: SchedStats::new(),
             rd_index: QueueIndex::new(slots),
@@ -710,13 +708,12 @@ impl MemController {
     }
 
     /// Settles the controller's side of a row close, scheduled or
-    /// functional: the restoration-drive energy (activation energy is
-    /// charged here, when the drive's length is known: early
-    /// termination transfers less charge), the tracking lists, and the
-    /// restore outcome into the CROW table (partial restoration, paper
-    /// §4.1.3). The caller charges the `PRE` itself first: energy is a
-    /// sum of floats, so the order of the additions is part of the
-    /// report.
+    /// functional: the activation's energy, charged now that the
+    /// restoration drive's length is known (early termination
+    /// transfers less charge), the tracking lists, and the restore
+    /// outcome into the CROW table (partial restoration, paper §4.1.3).
+    /// The caller charges the `PRE` first: energy is a sum of floats,
+    /// so the order of the additions is part of the report.
     fn settle_close(&mut self, rank: u32, bank: u32, c: ClosedRow) {
         let mra = matches!(c.open, OpenRow::Pair { .. });
         self.energy_events
@@ -726,8 +723,8 @@ impl MemController {
         Self::drop_tracking_entry(&mut self.forced_restore, key);
         let i = self.sa_slot(rank, bank, c.subarray);
         self.opener[i] = None;
+        let cb = self.crow_bank(rank, bank);
         if let (Some(crow), OpenRow::Pair { row, .. }) = (self.crow.as_mut(), c.open) {
-            let cb = rank * self.dram_cfg.banks + bank;
             crow.on_precharge(cb, c.subarray, row, c.restore == RestoreState::Full);
         }
     }
@@ -845,33 +842,19 @@ impl MemController {
             self.trr_flush(rank, target);
             return true;
         }
-        // Drain: REFpb precharges its bank's rows in `open_list` order,
-        // REF the rank's rows oldest-opened first.
-        let mut candidates = std::mem::take(&mut self.scratch_open);
-        candidates.clear();
-        candidates.extend(
-            self.open_list
-                .iter()
-                .copied()
-                .filter(|&(r, b, _)| r == rank && target.is_none_or(|t| b == t)),
-        );
-        if target.is_none() {
-            candidates.sort_by_key(|&(r, b, s)| {
-                self.channel
-                    .subarray_activation(r, b, s)
-                    .map_or(u64::MAX, |a| a.opened_at)
-            });
-        }
-        let mut issued = false;
-        for &(r, b, s) in &candidates {
+        // Drain the target's open rows, oldest-opened first: `open_list`
+        // is in activation order.
+        for i in 0..self.open_list.len() {
+            let (r, b, s) = self.open_list[i];
+            if r != rank || target.is_some_and(|t| b != t) {
+                continue;
+            }
             let full = self.forced_restore.contains(&(r, b, s));
             if self.try_pre_subarray(now, r, b, s, full, wake) {
-                issued = true;
-                break;
+                return true;
             }
         }
-        self.scratch_open = candidates;
-        issued
+        false
     }
 
     /// Whether a pending refresh holds back requests to (`rank`, `bank`)
